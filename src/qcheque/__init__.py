@@ -38,7 +38,7 @@ from .qowf import (
     prepare_amount_state,
     prepare_auth_state,
 )
-from .signatures import LamportSignatureScheme, SignatureScheme
+from .signatures import LamportSignatureScheme
 from .sim import (
     BellOutcome,
     HadamardOutcome,
@@ -48,7 +48,7 @@ from .sim import (
     haar_random_qubit,
     haar_random_unitary,
 )
-from .swaptest import SwapOutcome, repeated_swap_test, swap_test
+from .swaptest import SwapOutcome, swap_test
 from .teleport import (
     EncodingRecord,
     GhzTriple,
@@ -82,7 +82,6 @@ __all__ = [
     "RejectReason",
     "STRATEGIES",
     "SchemeParams",
-    "SignatureScheme",
     "SwapOutcome",
     "VerifyResult",
     "World",
@@ -101,7 +100,6 @@ __all__ = [
     "prepare_auth_state",
     "prepare_ghz",
     "recover_qubit",
-    "repeated_swap_test",
     "run_attack",
     "run_honest",
     "sign_cheque",

@@ -1,8 +1,9 @@
 """Adversary harness: strategies that try to beat the cheque scheme.
 
-Each strategy runs `trials` independent protocol sessions, one freshly
-seeded world per trial, so a (strategy, params, trials, seed) tuple pins
-down every sample drawn.  Alongside the empirical success rate each run
+Each strategy, like the honest baseline, plays one trial; a single loop
+runs it over `trials` independent protocol sessions, one freshly seeded
+world per trial, so a (strategy, params, trials, seed) tuple pins down
+every sample drawn.  Alongside the empirical success rate each run
 reports an analytic prediction and its standard error, computed without
 peeking at the sampled verdicts.  The acceptance tests hold the two
 columns to four standard deviations of each other.
@@ -40,6 +41,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -72,6 +74,7 @@ __all__ = [
 ]
 
 ACCOUNT_ID = "alice"
+_ID_BITS = BitString.from_text(ACCOUNT_ID)
 
 # Trial worlds are seeded [seed, trial]; the analytic oracle world gets a
 # lane no trial index can reach.
@@ -133,8 +136,8 @@ def clone_qubit(world: World, q: QubitHandle) -> CloneResult:
     return CloneResult(original=q, copy=copy, machine=machine)
 
 
-def local_tamper(world: World, cheque: QuantumCheque, gate=PAULI_X, indices=None) -> None:
-    """Apply a single-qubit gate to chosen amount registers of a cheque.
+def local_tamper(world: World, cheque: QuantumCheque, indices=None) -> None:
+    """Flip chosen amount registers of a cheque with an X gate.
 
     `indices` are 1-based register positions; by default every amount
     register is hit.  Authentication qubits are never touched.
@@ -144,7 +147,7 @@ def local_tamper(world: World, cheque: QuantumCheque, gate=PAULI_X, indices=None
     for i in chosen:
         if not 1 <= i <= count:
             raise ValueError(f"cheque has no amount register {i}")
-        world.apply_gate(gate, [cheque.amount_qubits[i - 1]])
+        world.apply_gate(PAULI_X, [cheque.amount_qubits[i - 1]])
 
 
 @dataclass(frozen=True)
@@ -176,22 +179,6 @@ class AttackStats:
         }
 
 
-def _finish(strategy, trials, successes, failures, analytic_rate, analytic_sigma, extras):
-    low, high = wilson_interval(successes, trials)
-    return AttackStats(
-        strategy=strategy,
-        trials=trials,
-        successes=successes,
-        failure_histogram=dict(failures),
-        empirical_rate=successes / trials,
-        wilson_low=low,
-        wilson_high=high,
-        analytic_rate=analytic_rate,
-        analytic_sigma=analytic_sigma,
-        extras=extras,
-    )
-
-
 def _acceptance_probability(policy, amount_pass_probs, auth_pass_prob):
     """Chance the policy accepts, given independent per-test pass rates.
 
@@ -216,6 +203,18 @@ def _acceptance_probability(policy, amount_pass_probs, auth_pass_prob):
     return sum(dist[need:]) * auth_pass_prob
 
 
+def _swap_pass(held, want) -> float:
+    """Swap-test pass chance (1 + d^2) / 2 of two product registers.
+
+    Both registers are given as per-qubit amplitude pairs, and
+    d = |<want|held>| is the product of the per-qubit overlaps.
+    """
+    d = 1.0
+    for h, w in zip(held, want):
+        d *= abs(np.vdot(np.array(w), np.array(h)))
+    return 0.5 * (1.0 + d * d)
+
+
 def _fresh_session(seed, trial, params, amount_units):
     world = World(seed=[seed, trial])
     bank = Bank()
@@ -224,23 +223,54 @@ def _fresh_session(seed, trial, params, amount_units):
     return world, bank, record, cheque
 
 
-def run_honest(params: SchemeParams, trials: int, seed: int, amount_units: int = 42) -> AttackStats:
-    """Completeness baseline: sign honestly, deposit once, count accepts."""
+def _drive(strategy, params, trials, seed, amount_units, play, extras, oracle=None):
+    """Play `trials` fresh sessions through one strategy and summarise them.
+
+    `play(world, bank, record, cheque)` acts out one trial on a freshly
+    signed cheque.  It returns the deposit whose verdict counts, that
+    trial's predicted acceptance rate, and counters that are summed into
+    `extras`.  The per-trial rates are averaged, with `sigma_of_mean` as
+    their error, unless `oracle` fixes one rate for the whole run.  Every
+    run's extras also record `amount_units`.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
-    successes, failures, ledger_spent = 0, Counter(), 0
+    successes, failures, counts, predicted = 0, Counter(), Counter(), []
     for t in range(trials):
-        world, bank, _, cheque = _fresh_session(seed, t, params, amount_units)
-        result = bank.verify_cheque(world, cheque)
+        result, rate, counters = play(*_fresh_session(seed, t, params, amount_units))
         if result.accepted:
             successes += 1
         else:
             failures[result.reason.value] += 1
-        ledger_spent += bank.spent_ledger_check(cheque.serial)
-    return _finish(
-        "honest", trials, successes, failures, 1.0, 0.0,
-        {"amount_units": amount_units, "ledger_spent_count": ledger_spent},
+        predicted.append(rate)
+        counts.update(counters)
+    if oracle is None:
+        rate, sigma = float(np.mean(predicted)), sigma_of_mean(predicted)
+    else:
+        rate, sigma = oracle, binomial_sigma(oracle, trials)
+    low, high = wilson_interval(successes, trials)
+    return AttackStats(
+        strategy=strategy,
+        trials=trials,
+        successes=successes,
+        failure_histogram=dict(failures),
+        empirical_rate=successes / trials,
+        wilson_low=low,
+        wilson_high=high,
+        analytic_rate=rate,
+        analytic_sigma=sigma,
+        extras={"amount_units": amount_units, **extras, **counts},
     )
+
+
+def run_honest(params: SchemeParams, trials: int, seed: int, amount_units: int = 42) -> AttackStats:
+    """Completeness baseline: sign honestly, deposit once, count accepts."""
+
+    def play(world, bank, record, cheque):
+        result = bank.verify_cheque(world, cheque)
+        return result, 1.0, {"ledger_spent_count": bank.spent_ledger_check(cheque.serial)}
+
+    return _drive("honest", params, trials, seed, amount_units, play, {})
 
 
 def run_attack(
@@ -252,45 +282,123 @@ def run_attack(
     tampered_units: int = 43,
 ) -> AttackStats:
     """Run one adversary strategy for `trials` independent sessions."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    extras, oracle = {}, None
     if strategy == "replay":
-        return _run_replay(params, trials, seed, amount_units)
-    if strategy == "clone-double-spend":
-        return _run_clone(params, trials, seed, amount_units)
-    if strategy == "tamper-amount":
-        return _run_tamper_amount(params, trials, seed, amount_units, tampered_units)
-    if strategy == "forge-key-guess":
-        return _run_forge(params, trials, seed, amount_units, tampered_units)
-    if strategy == "local-tamper":
-        return _run_local_tamper(params, trials, seed, amount_units)
-    raise ValueError(f"unknown strategy {strategy!r}; pick from: {', '.join(STRATEGIES)}")
+        play = _trial_replay
+    elif strategy == "clone-double-spend":
+        amount_probs, auth_prob = _clone_pass_probabilities(params, seed, amount_units)
+        oracle = _acceptance_probability(params.policy, amount_probs, auth_prob)
+        extras.update(per_register_amount_pass=amount_probs, auth_register_pass=auth_prob)
+        play = _trial_clone_double_spend
+    elif strategy == "tamper-amount":
+        if tampered_units == amount_units:
+            raise ValueError("tampered amount must differ from the signed amount")
+        extras["tampered_units"] = tampered_units
+        play = partial(_trial_tamper_amount, lie=encode_amount(tampered_units))
+    elif strategy == "forge-key-guess":
+        extras.update(tampered_units=tampered_units, key_bits=params.key_bits)
+        play = partial(_trial_forge_key_guess, lie=encode_amount(tampered_units))
+    elif strategy == "local-tamper":
+        play = _trial_local_tamper
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}; pick from: {', '.join(STRATEGIES)}")
+    return _drive(strategy, params, trials, seed, amount_units, play, extras, oracle)
 
 
 # ----------------------------------------------------------------------
-# replay
+# one trial of each strategy
 # ----------------------------------------------------------------------
 
 
-def _run_replay(params, trials, seed, amount_units):
-    successes, failures, first_accepts = 0, Counter(), 0
-    for t in range(trials):
-        world, bank, _, cheque = _fresh_session(seed, t, params, amount_units)
-        first = bank.verify_cheque(world, cheque)
-        first_accepts += first.accepted
-        second = bank.verify_cheque(world, cheque)
-        if second.accepted:
-            successes += 1
-        else:
-            failures[second.reason.value] += 1
-    return _finish(
-        "replay", trials, successes, failures, 0.0, 0.0,
-        {"amount_units": amount_units, "first_deposit_accepts": first_accepts},
+def _trial_replay(world, bank, record, cheque):
+    first = bank.verify_cheque(world, cheque)
+    second = bank.verify_cheque(world, cheque)
+    return second, 0.0, {"first_deposit_accepts": first.accepted}
+
+
+def _trial_clone_double_spend(world, bank, record, cheque):
+    forged = replace(
+        cheque,
+        amount_qubits=tuple(clone_qubit(world, q).copy for q in cheque.amount_qubits),
+        auth_qubits=tuple(clone_qubit(world, q).copy for q in cheque.auth_qubits),
     )
+    first = bank.verify_cheque(world, forged)
+    second = bank.verify_cheque(world, cheque)
+    return first, None, {"original_second_accepts": second.accepted}
+
+
+def _trial_tamper_amount(world, bank, record, cheque, lie):
+    result = bank.verify_cheque(world, replace(cheque, amount=lie))
+    params = record.params
+    amount_probs = [
+        _swap_pass(
+            [amount_state_amplitudes(cheque.nonce, cheque.amount, i)],
+            [amount_state_amplitudes(cheque.nonce, lie, i)],
+        )
+        for i in range(1, params.ghz_triples + 1)
+    ]
+    auth_prob = _swap_pass(
+        auth_state_amplitudes(record.shared_key, _ID_BITS, cheque.nonce, cheque.amount,
+                              params.auth_qubits),
+        auth_state_amplitudes(record.shared_key, _ID_BITS, cheque.nonce, lie,
+                              params.auth_qubits),
+    )
+    return result, _acceptance_probability(params.policy, amount_probs, auth_prob), {}
+
+
+def _trial_forge_key_guess(world, bank, record, cheque, lie):
+    params = record.params
+    # the malicious payee keeps the classical fields, junks the qubits
+    for q in cheque.amount_qubits + cheque.auth_qubits:
+        world.discard(q)
+    guess = BitString.random(world.rng, params.key_bits)
+    nonce = BitString.random(world.rng, params.key_bits)
+    forged = replace(
+        cheque,
+        nonce=nonce,
+        amount=lie,
+        amount_qubits=tuple(
+            prepare_amount_state(world, nonce, lie, i, owner=Owner.ADVERSARY)
+            for i in range(1, params.ghz_triples + 1)
+        ),
+        auth_qubits=tuple(
+            prepare_auth_state(
+                world, guess, _ID_BITS, nonce, lie,
+                params.auth_qubits, owner=Owner.ADVERSARY,
+            )
+        ),
+    )
+    result = bank.verify_cheque(world, forged)
+
+    # Recovery applies I or Z to the fabricated state with chance 1/2
+    # each, so a register passes with 1/2 + (1 + |<g|Z|g>|^2) / 4.
+    amount_probs = []
+    for i in range(1, params.ghz_triples + 1):
+        a0, a1 = amount_state_amplitudes(nonce, lie, i)
+        dz = abs(abs(a0) ** 2 - abs(a1) ** 2)
+        amount_probs.append(0.5 + 0.25 * (1.0 + dz * dz))
+    auth_prob = _swap_pass(
+        auth_state_amplitudes(guess, _ID_BITS, nonce, lie, params.auth_qubits),
+        auth_state_amplitudes(record.shared_key, _ID_BITS, nonce, lie, params.auth_qubits),
+    )
+    rate = _acceptance_probability(params.policy, amount_probs, auth_prob)
+    return result, rate, {"key_guess_hits": guess == record.shared_key}
+
+
+def _trial_local_tamper(world, bank, record, cheque):
+    local_tamper(world, cheque)
+    result = bank.verify_cheque(world, cheque)
+    # an X slipped in before recovery comes out as exactly X|g>, so
+    # the test passes with (1 + |<g|X|g>|^2) / 2
+    amount_probs = []
+    for i in range(1, record.params.ghz_triples + 1):
+        a0, a1 = amount_state_amplitudes(cheque.nonce, cheque.amount, i)
+        amount_probs.append(_swap_pass([(a1, a0)], [(a0, a1)]))
+    return result, _acceptance_probability(record.params.policy, amount_probs, 1.0), {}
 
 
 # ----------------------------------------------------------------------
-# clone and double spend
+# the clone oracle
 # ----------------------------------------------------------------------
 
 
@@ -302,8 +410,19 @@ def _clone_pass_probabilities(params, seed, amount_units):
     controlled-Z onto the clone, and a partial trace instead of a
     measurement.  The reduced density matrix that falls out is the
     outcome-averaged recovered state, so the swap-test pass chance
-    (1 + <target|rho|target>) / 2 needs no sampling at all.
+    (1 + <target|rho|target>) / 2 needs no sampling at all.  Raises
+    first when a trial's authentication swap test would not fit in one
+    group.
     """
+    ceiling = World(seed=0).max_group_qubits
+    joint = 4 * params.auth_qubits + 1
+    if joint > ceiling:
+        raise ValueError(
+            f"the swap test over a cloned authentication register entangles "
+            f"{joint} qubits (4 per register qubit plus the ancilla), above "
+            f"the {ceiling}-qubit group ceiling; use auth_qubits <= "
+            f"{(ceiling - 1) // 4}"
+        )
     world = World(seed=[seed, _ORACLE_LANE])
     bank = Bank()
     book, record = bank.gen_account(world, ACCOUNT_ID, params)
@@ -319,9 +438,8 @@ def _clone_pass_probabilities(params, seed, amount_units):
         target = np.array(amount_state_amplitudes(cheque.nonce, cheque.amount, i))
         amount_probs.append(0.5 * (1.0 + float(np.real(np.vdot(target, rho @ target)))))
 
-    id_bits = BitString.from_text(ACCOUNT_ID)
     pairs = auth_state_amplitudes(
-        record.shared_key, id_bits, cheque.nonce, cheque.amount, params.auth_qubits
+        record.shared_key, _ID_BITS, cheque.nonce, cheque.amount, params.auth_qubits
     )
     fidelity = 1.0
     for q, pair in zip(cheque.auth_qubits, pairs):
@@ -331,193 +449,3 @@ def _clone_pass_probabilities(params, seed, amount_units):
         fidelity *= float(np.real(np.vdot(target, rho @ target)))
     auth_prob = 0.5 * (1.0 + fidelity)
     return amount_probs, auth_prob
-
-
-def _run_clone(params, trials, seed, amount_units):
-    ceiling = World(seed=0).max_group_qubits
-    joint = 4 * params.auth_qubits + 1
-    if joint > ceiling:
-        raise ValueError(
-            f"the swap test over a cloned authentication register entangles "
-            f"{joint} qubits (4 per register qubit plus the ancilla), above "
-            f"the {ceiling}-qubit group ceiling; use auth_qubits <= "
-            f"{(ceiling - 1) // 4}"
-        )
-    amount_probs, auth_prob = _clone_pass_probabilities(params, seed, amount_units)
-    analytic = _acceptance_probability(params.policy, amount_probs, auth_prob)
-
-    successes, failures, original_second_accepts = 0, Counter(), 0
-    for t in range(trials):
-        world, bank, _, cheque = _fresh_session(seed, t, params, amount_units)
-        forged = replace(
-            cheque,
-            amount_qubits=tuple(clone_qubit(world, q).copy for q in cheque.amount_qubits),
-            auth_qubits=tuple(clone_qubit(world, q).copy for q in cheque.auth_qubits),
-        )
-        first = bank.verify_cheque(world, forged)
-        if first.accepted:
-            successes += 1
-        else:
-            failures[first.reason.value] += 1
-        second = bank.verify_cheque(world, cheque)
-        original_second_accepts += second.accepted
-    return _finish(
-        "clone-double-spend", trials, successes, failures,
-        analytic, binomial_sigma(analytic, trials),
-        {
-            "amount_units": amount_units,
-            "original_second_accepts": original_second_accepts,
-            "per_register_amount_pass": amount_probs,
-            "auth_register_pass": auth_prob,
-        },
-    )
-
-
-# ----------------------------------------------------------------------
-# classical amount tampering
-# ----------------------------------------------------------------------
-
-
-def _run_tamper_amount(params, trials, seed, amount_units, tampered_units):
-    if tampered_units == amount_units:
-        raise ValueError("tampered amount must differ from the signed amount")
-    true_bits = encode_amount(amount_units)
-    lie_bits = encode_amount(tampered_units)
-    id_bits = BitString.from_text(ACCOUNT_ID)
-
-    successes, failures = 0, Counter()
-    per_trial = []
-    for t in range(trials):
-        world, bank, record, cheque = _fresh_session(seed, t, params, amount_units)
-        forged = replace(cheque, amount=lie_bits)
-        result = bank.verify_cheque(world, forged)
-        if result.accepted:
-            successes += 1
-        else:
-            failures[result.reason.value] += 1
-
-        amount_probs = []
-        for i in range(1, params.ghz_triples + 1):
-            held = np.array(amount_state_amplitudes(cheque.nonce, true_bits, i))
-            want = np.array(amount_state_amplitudes(cheque.nonce, lie_bits, i))
-            d = abs(np.vdot(want, held))
-            amount_probs.append(0.5 * (1.0 + d * d))
-        held_auth = auth_state_amplitudes(
-            record.shared_key, id_bits, cheque.nonce, true_bits, params.auth_qubits
-        )
-        want_auth = auth_state_amplitudes(
-            record.shared_key, id_bits, cheque.nonce, lie_bits, params.auth_qubits
-        )
-        d = 1.0
-        for held, want in zip(held_auth, want_auth):
-            d *= abs(np.vdot(np.array(want), np.array(held)))
-        per_trial.append(
-            _acceptance_probability(params.policy, amount_probs, 0.5 * (1.0 + d * d))
-        )
-    return _finish(
-        "tamper-amount", trials, successes, failures,
-        float(np.mean(per_trial)), sigma_of_mean(per_trial),
-        {"amount_units": amount_units, "tampered_units": tampered_units},
-    )
-
-
-# ----------------------------------------------------------------------
-# forgery with a guessed key
-# ----------------------------------------------------------------------
-
-
-def _run_forge(params, trials, seed, amount_units, tampered_units):
-    lie_bits = encode_amount(tampered_units)
-    id_bits = BitString.from_text(ACCOUNT_ID)
-
-    successes, failures, key_hits = 0, Counter(), 0
-    per_trial = []
-    for t in range(trials):
-        world, bank, record, cheque = _fresh_session(seed, t, params, amount_units)
-        # the malicious payee keeps the classical fields, junks the qubits
-        for q in list(cheque.amount_qubits) + list(cheque.auth_qubits):
-            world.discard(q)
-        guess = BitString.random(world.rng, params.key_bits)
-        nonce = BitString.random(world.rng, params.key_bits)
-        forged = replace(
-            cheque,
-            nonce=nonce,
-            amount=lie_bits,
-            amount_qubits=tuple(
-                prepare_amount_state(world, nonce, lie_bits, i, owner=Owner.ADVERSARY)
-                for i in range(1, params.ghz_triples + 1)
-            ),
-            auth_qubits=tuple(
-                prepare_auth_state(
-                    world, guess, id_bits, nonce, lie_bits,
-                    params.auth_qubits, owner=Owner.ADVERSARY,
-                )
-            ),
-        )
-        result = bank.verify_cheque(world, forged)
-        if result.accepted:
-            successes += 1
-        else:
-            failures[result.reason.value] += 1
-        key_hits += guess == record.shared_key
-
-        # Recovery applies I or Z to the fabricated state with chance 1/2
-        # each, so a register passes with 1/2 + (1 + |<g|Z|g>|^2) / 4.
-        amount_probs = []
-        for i in range(1, params.ghz_triples + 1):
-            a0, a1 = amount_state_amplitudes(nonce, lie_bits, i)
-            dz = abs(abs(a0) ** 2 - abs(a1) ** 2)
-            amount_probs.append(0.5 + 0.25 * (1.0 + dz * dz))
-        true_auth = auth_state_amplitudes(
-            record.shared_key, id_bits, nonce, lie_bits, params.auth_qubits
-        )
-        fake_auth = auth_state_amplitudes(guess, id_bits, nonce, lie_bits, params.auth_qubits)
-        d = 1.0
-        for held, want in zip(fake_auth, true_auth):
-            d *= abs(np.vdot(np.array(want), np.array(held)))
-        per_trial.append(
-            _acceptance_probability(params.policy, amount_probs, 0.5 * (1.0 + d * d))
-        )
-    return _finish(
-        "forge-key-guess", trials, successes, failures,
-        float(np.mean(per_trial)), sigma_of_mean(per_trial),
-        {
-            "amount_units": amount_units,
-            "tampered_units": tampered_units,
-            "key_guess_hits": key_hits,
-            "key_bits": params.key_bits,
-        },
-    )
-
-
-# ----------------------------------------------------------------------
-# unitary tampering in transit
-# ----------------------------------------------------------------------
-
-
-def _run_local_tamper(params, trials, seed, amount_units):
-    true_bits = encode_amount(amount_units)
-    successes, failures = 0, Counter()
-    per_trial = []
-    for t in range(trials):
-        world, bank, _, cheque = _fresh_session(seed, t, params, amount_units)
-        local_tamper(world, cheque, PAULI_X)
-        result = bank.verify_cheque(world, cheque)
-        if result.accepted:
-            successes += 1
-        else:
-            failures[result.reason.value] += 1
-
-        # an X slipped in before recovery comes out as exactly X|g>, so
-        # the test passes with (1 + |<g|X|g>|^2) / 2
-        amount_probs = []
-        for i in range(1, params.ghz_triples + 1):
-            a0, a1 = amount_state_amplitudes(cheque.nonce, true_bits, i)
-            dx = abs(np.conj(a0) * a1 + np.conj(a1) * a0)
-            amount_probs.append(0.5 * (1.0 + dx * dx))
-        per_trial.append(_acceptance_probability(params.policy, amount_probs, 1.0))
-    return _finish(
-        "local-tamper", trials, successes, failures,
-        float(np.mean(per_trial)), sigma_of_mean(per_trial),
-        {"amount_units": amount_units},
-    )

@@ -68,7 +68,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _build_params(args) -> SchemeParams:
-    policy = AcceptancePolicy(mode=args.policy, kappa1=args.kappa1, kappa2=args.kappa2)
+    policy = AcceptancePolicy(mode=args.policy, kappa2=args.kappa2)
     return SchemeParams(
         ghz_triples=args.l,
         auth_qubits=args.n,
@@ -332,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="serial number length")
     scheme.add_argument("--policy", choices=("strict", "threshold"), default="strict",
                         help="how swap-test verdicts aggregate")
-    scheme.add_argument("--kappa1", type=float, default=0.91, metavar="K",
-                        help="authentication acceptance threshold")
     scheme.add_argument("--kappa2", type=float, default=0.91, metavar="K",
                         help="amount-register acceptance threshold")
 

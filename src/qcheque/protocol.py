@@ -28,7 +28,7 @@ from enum import Enum
 
 from .bits import BitString
 from .qowf import prepare_amount_state, prepare_auth_state
-from .signatures import LamportSignatureScheme, SignatureScheme
+from .signatures import LamportSignatureScheme
 from .sim import Owner, QubitHandle, World
 from .swaptest import swap_test
 from .teleport import GhzTriple, encode_qubit, prepare_ghz, recover_qubit
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 BANK_SNAPSHOT_FORMAT = "qcheque-bank"
-BANK_SNAPSHOT_VERSION = 1
+BANK_SNAPSHOT_VERSION = 2
 
 
 class RejectReason(Enum):
@@ -66,22 +66,18 @@ class AcceptancePolicy:
     """How swap-test outcomes turn into an accept or reject.
 
     ``strict`` requires every test to pass.  ``threshold`` accepts when
-    the passing fraction of amount-state tests is at least `kappa2` and
-    the authentication test passes; `kappa1` is the gate on the single
-    authentication test and is kept explicit so a multi-copy variant can
-    fractionalise it the same way.
+    the passing fraction of amount-state tests is at least `kappa2`.  In
+    both modes the single authentication test must pass.
     """
 
     mode: str = "strict"
-    kappa1: float = 0.91
     kappa2: float = 0.91
 
     def __post_init__(self) -> None:
         if self.mode not in ("strict", "threshold"):
             raise ValueError(f"unknown policy mode {self.mode!r}")
-        for name, value in (("kappa1", self.kappa1), ("kappa2", self.kappa2)):
-            if not 0.5 < value <= 1.0:
-                raise ValueError(f"{name} must lie in (0.5, 1], got {value!r}")
+        if not 0.5 < self.kappa2 <= 1.0:
+            raise ValueError(f"kappa2 must lie in (0.5, 1], got {self.kappa2!r}")
 
     def decide(self, passes: list[bool]) -> bool:
         """Verdict over a batch of same-kind swap tests."""
@@ -91,15 +87,12 @@ class AcceptancePolicy:
             return True
         return sum(passes) / len(passes) >= self.kappa2
 
-    def decide_auth(self, passed: bool) -> bool:
-        return bool(passed)
-
     def to_json(self) -> dict:
-        return {"mode": self.mode, "kappa1": self.kappa1, "kappa2": self.kappa2}
+        return {"mode": self.mode, "kappa2": self.kappa2}
 
     @classmethod
     def from_json(cls, doc: dict) -> "AcceptancePolicy":
-        return cls(mode=doc["mode"], kappa1=float(doc["kappa1"]), kappa2=float(doc["kappa2"]))
+        return cls(mode=doc["mode"], kappa2=float(doc["kappa2"]))
 
 
 @dataclass(frozen=True)
@@ -164,7 +157,7 @@ class ChequeBook:
     secret_key: object
     triples: list[GhzTriple]
     params: SchemeParams
-    scheme: SignatureScheme
+    scheme: LamportSignatureScheme
     used: bool = False
 
 
@@ -258,8 +251,8 @@ def encode_amount(units: int) -> BitString:
 class Bank:
     """Account registry, spent ledger, vault custody and verification."""
 
-    def __init__(self, scheme: SignatureScheme | None = None, signature_bits: int = 128):
-        self.scheme = scheme if scheme is not None else LamportSignatureScheme()
+    def __init__(self, signature_bits: int = 128):
+        self.scheme = LamportSignatureScheme()
         self.signature_bits = signature_bits
         self._records: dict[str, BankRecord] = {}
         self.transcript: list[Message] = []
@@ -374,7 +367,12 @@ class Bank:
             return VerifyResult(False, RejectReason.BAD_SIGNATURE)
 
         params = record.params
-        self._require_shape(world, cheque, params)
+        try:
+            self._require_shape(world, cheque, params)
+        except ValueError:
+            destroy_cheque(world, cheque)
+            record.destroyed = True
+            raise
 
         # quantum phase: recover each amount state onto its cheque qubit
         for i, (bank_q, cheque_q) in enumerate(zip(record.bank_qubits, cheque.amount_qubits), start=1):
@@ -400,8 +398,7 @@ class Bank:
             world.discard(q)
 
         amount_ok = params.policy.decide(amount_passes)
-        auth_ok = params.policy.decide_auth(auth_passed)
-        accepted = amount_ok and auth_ok
+        accepted = amount_ok and auth_passed
         if accepted:
             reason = RejectReason.OK
         elif not amount_ok:
@@ -481,7 +478,7 @@ class Bank:
         }
 
     @classmethod
-    def from_json(cls, doc: dict, scheme: SignatureScheme | None = None) -> "Bank":
+    def from_json(cls, doc: dict) -> "Bank":
         if not isinstance(doc, dict) or doc.get("format") != BANK_SNAPSHOT_FORMAT:
             raise ValueError("not a bank snapshot document")
         if doc.get("version") != BANK_SNAPSHOT_VERSION:
@@ -489,7 +486,7 @@ class Bank:
                 f"unsupported bank snapshot version {doc.get('version')!r}, "
                 f"expected {BANK_SNAPSHOT_VERSION}"
             )
-        bank = cls(scheme=scheme, signature_bits=int(doc["signature_bits"]))
+        bank = cls(signature_bits=int(doc["signature_bits"]))
         if bank.scheme.identifier != doc.get("signature_scheme"):
             raise ValueError(
                 f"snapshot uses scheme {doc.get('signature_scheme')!r}, "

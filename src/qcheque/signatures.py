@@ -1,28 +1,24 @@
 """One-time digital signatures used to authorise cheque serial numbers.
 
-The default scheme is a Lamport construction over SHA-256: the secret key
+The scheme is a Lamport construction over SHA-256: the secret key
 is a pair of random preimages per digest bit, the public key holds their
 hashes, and a signature reveals one preimage per bit.  Each secret key
 signs exactly once; a second use is refused rather than silently leaking
 the complement preimages.
 
-The scheme is behind a small abstract interface so an unconditionally
-secure polynomial-based scheme can be dropped in without touching the
-protocol layer.
+The bank snapshots public keys only; secret keys never leave memory.
 """
 
 from __future__ import annotations
 
 import hashlib
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bits import BitString, frame_fields
 
 __all__ = [
-    "SignatureScheme",
     "LamportSignatureScheme",
     "LamportPublicKey",
     "LamportSecretKey",
@@ -57,33 +53,12 @@ class KeyPair:
     secret: LamportSecretKey
 
 
-class SignatureScheme(ABC):
-    """Minimal signing interface the protocol layer relies on."""
-
-    identifier: str
-
-    @abstractmethod
-    def generate_keypair(self, security_parameter: int, rng: np.random.Generator) -> KeyPair: ...
-
-    @abstractmethod
-    def sign(self, secret_key, message: BitString) -> bytes: ...
-
-    @abstractmethod
-    def verify(self, public_key, message: BitString, signature: bytes) -> bool: ...
-
-    @abstractmethod
-    def public_key_to_json(self, public_key) -> dict: ...
-
-    @abstractmethod
-    def public_key_from_json(self, doc: dict): ...
-
-
 def _message_digest_bits(message: BitString) -> list[int]:
     digest = hashlib.sha256(frame_fields(message)).digest()
     return [(byte >> k) & 1 for byte in digest for k in range(7, -1, -1)]
 
 
-class LamportSignatureScheme(SignatureScheme):
+class LamportSignatureScheme:
     """Lamport one-time signatures over SHA-256 message digests."""
 
     identifier = "lamport-sha256-v1"
@@ -148,17 +123,3 @@ class LamportSignatureScheme(SignatureScheme):
         if len(entries) != _DIGEST_BITS:
             raise ValueError("public key has a malformed entry table")
         return LamportPublicKey(self.identifier, int(doc["preimage_bits"]), entries)
-
-    def secret_key_to_json(self, secret_key: LamportSecretKey) -> dict:
-        return {
-            "scheme": secret_key.scheme,
-            "preimage_bits": secret_key.preimage_bits,
-            "used": secret_key.used,
-            "entries": [[a.hex(), b.hex()] for a, b in secret_key.entries],
-        }
-
-    def secret_key_from_json(self, doc: dict) -> LamportSecretKey:
-        if doc.get("scheme") != self.identifier:
-            raise ValueError(f"secret key scheme {doc.get('scheme')!r} is not {self.identifier!r}")
-        entries = tuple((bytes.fromhex(a), bytes.fromhex(b)) for a, b in doc["entries"])
-        return LamportSecretKey(self.identifier, int(doc["preimage_bits"]), entries, bool(doc["used"]))

@@ -18,14 +18,13 @@ Conventions used throughout the package:
   seed and operation order reproduce runs bit for bit.
 * States are compared up to global phase everywhere.
 
-``reduced_density``, ``state_of`` and ``overlap`` are introspection tools
-for tests and analysis.  Protocol decision paths must only interact with
+``reduced_density`` and ``state_of`` are introspection tools for tests
+and analysis.  Protocol decision paths must only interact with
 the world through gates and measurements.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -126,8 +125,8 @@ class StateGroup:
         return float(np.linalg.norm(self.amps))
 
 
-def _as_state_vector(amplitudes, dim: int) -> np.ndarray:
-    vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
+def _check_state_vector(vec: np.ndarray, dim: int) -> float:
+    """Raise unless `vec` holds `dim` finite amplitudes of unit norm; return the norm."""
     if vec.shape != (dim,):
         raise ValueError(f"expected {dim} amplitudes, got {vec.shape}")
     if not np.all(np.isfinite(vec.view(np.float64))):
@@ -135,7 +134,12 @@ def _as_state_vector(amplitudes, dim: int) -> np.ndarray:
     norm = np.linalg.norm(vec)
     if abs(norm - 1.0) > _NORM_TOL:
         raise ValueError(f"state vector norm {norm!r} is not 1")
-    return vec / norm
+    return norm
+
+
+def _as_state_vector(amplitudes, dim: int) -> np.ndarray:
+    vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    return vec / _check_state_vector(vec, dim)
 
 
 def _check_unitary(matrix: np.ndarray) -> np.ndarray:
@@ -439,14 +443,6 @@ class World:
         phase = vec[pivot] / abs(vec[pivot])
         return vec / phase
 
-    def overlap(self, register_a, register_b) -> float:
-        """Absolute inner product between two factorizable pure registers."""
-        a = self.state_of(register_a)
-        b = self.state_of(register_b)
-        if a.shape != b.shape:
-            raise ValueError("registers differ in size")
-        return float(abs(np.vdot(a, b)))
-
     def _groups_for(self, handles) -> list[StateGroup]:
         groups: list[StateGroup] = []
         for q in handles:
@@ -491,18 +487,6 @@ class World:
     # persistence
     # ------------------------------------------------------------------
 
-    def copy(self) -> "World":
-        """Independent deep copy, including the PRNG state."""
-        twin = World(seed=0, max_group_qubits=self.max_group_qubits)
-        twin.rng.bit_generator.state = self.rng.bit_generator.state
-        twin._next_qid = self._next_qid
-        for g in self._groups:
-            new_group = StateGroup(list(g.qubits), g.amps.copy())
-            twin._groups.append(new_group)
-            for q in new_group.qubits:
-                twin._index[q] = new_group
-        return twin
-
     def to_json(self) -> dict:
         groups = []
         for g in self._groups:
@@ -523,6 +507,13 @@ class World:
 
     @classmethod
     def from_json(cls, doc: dict) -> "World":
+        """Rebuild a world from `to_json` output.
+
+        Every group must hold finite amplitudes of unit norm, and every
+        qubit id must be unique and below ``next_qid``.  Amplitudes are
+        loaded as stored, not renormalised, so a load and a save give
+        back the same document.
+        """
         if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
             raise ValueError("not a world snapshot document")
         if doc.get("version") != SNAPSHOT_VERSION:
@@ -536,28 +527,23 @@ class World:
             raise ValueError("snapshot was produced with a different PRNG")
         world.rng.bit_generator.state = state
         world._next_qid = int(doc["next_qid"])
+        qids = set()
         for entry in doc["groups"]:
             handles = [QubitHandle(int(qid), Owner(owner)) for qid, owner in entry["qubits"]]
-            amps = np.array([complex(re, im) for re, im in entry["amplitudes"]])
-            if len(amps) != 2 ** len(handles):
-                raise ValueError("snapshot group has a malformed amplitude list")
+            amps = np.array([complex(re, im) for re, im in entry["amplitudes"]], dtype=complex)
+            _check_state_vector(amps, 2 ** len(handles))
             group = StateGroup(handles, amps)
             world._groups.append(group)
             for q in handles:
-                if q in world._index:
-                    raise ValueError(f"snapshot lists {q!r} twice")
+                if q.qid in qids:
+                    raise ValueError(f"snapshot lists qubit id {q.qid} twice")
+                if not 0 <= q.qid < world._next_qid:
+                    raise ValueError(
+                        f"snapshot qubit id {q.qid} is outside [0, next_qid={world._next_qid})"
+                    )
+                qids.add(q.qid)
                 world._index[q] = group
         return world
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True, indent=1, allow_nan=False)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "World":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 # ----------------------------------------------------------------------

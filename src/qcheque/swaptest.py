@@ -16,7 +16,7 @@ import numpy as np
 
 from .sim import HADAMARD, Owner, World
 
-__all__ = ["SwapOutcome", "swap_test", "repeated_swap_test"]
+__all__ = ["SwapOutcome", "swap_test"]
 
 _PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
@@ -29,12 +29,13 @@ class SwapOutcome:
     passed: bool
 
 
-def swap_test(world: World, register_a, register_b, ancilla_owner: Owner = Owner.BANK) -> SwapOutcome:
+def swap_test(world: World, register_a, register_b) -> SwapOutcome:
     """Compare two equal-length registers with a single shared ancilla.
 
     The inputs are consumed in the sense that they end up entangled with
     each other; only when the test passes on identical pure inputs is the
-    joint state left exactly as it was.  The ancilla is retired.
+    joint state left exactly as it was.  The ancilla, a bank qubit, is
+    retired.
     """
     register_a = list(register_a)
     register_b = list(register_b)
@@ -48,26 +49,10 @@ def swap_test(world: World, register_a, register_b, ancilla_owner: Owner = Owner
     for q in all_handles:
         world.group_of(q)
 
-    ancilla = world.allocate(ancilla_owner, _PLUS)
+    ancilla = world.allocate(Owner.BANK, _PLUS)
     for qa, qb in zip(register_a, register_b):
         world.apply_cswap(ancilla, qa, qb)
     world.apply_gate(HADAMARD, [ancilla])
     bit = world.measure_computational(ancilla)
     world.discard(ancilla)
     return SwapOutcome(ancilla_bit=bit, passed=(bit == 0))
-
-
-def repeated_swap_test(world: World, pairs, policy) -> tuple[bool, list[SwapOutcome]]:
-    """Run one swap test per (register_a, register_b) pair.
-
-    `policy` is any object with a ``decide(passes: list[bool]) -> bool``
-    method; the protocol's acceptance policies qualify.  Pairs must not
-    share handles, so the individual tests are independent.
-    """
-    pairs = [(list(a), list(b)) for a, b in pairs]
-    flat = [q for a, b in pairs for q in a + b]
-    if len(set(flat)) != len(flat):
-        raise ValueError("swap test pairs must be disjoint")
-    outcomes = [swap_test(world, a, b) for a, b in pairs]
-    verdict = bool(policy.decide([o.passed for o in outcomes]))
-    return verdict, outcomes

@@ -84,6 +84,19 @@ def test_wrong_document_type_is_a_file_error(tmp_path):
     assert proc.returncode == 3
 
 
+def test_norm_broken_snapshot_is_a_file_error(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    proc = run_cli("snapshot", *FAST, "--seed", "9", "--snapshot", str(scenario))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(scenario.read_text())
+    group = doc["world"]["groups"][0]
+    group["amplitudes"] = [[2 * re, 2 * im] for re, im in group["amplitudes"]]
+    scenario.write_text(json.dumps(doc))
+    proc = run_cli("restore", "--snapshot", str(scenario))
+    assert proc.returncode == 3, proc.stderr
+    assert "norm" in proc.stderr
+
+
 def test_missing_snapshot_file(tmp_path):
     proc = run_cli("restore", "--snapshot", str(tmp_path / "absent.json"))
     assert proc.returncode == 3
@@ -91,6 +104,11 @@ def test_missing_snapshot_file(tmp_path):
 
 def test_unknown_strategy_is_usage_error():
     proc = run_cli("attack", "--strategy", "bribe-the-teller", "--trials", "1")
+    assert proc.returncode == 2
+
+
+def test_removed_kappa1_flag_is_usage_error():
+    proc = run_cli("run-honest", "--kappa1", "0.9", "--trials", "1")
     assert proc.returncode == 2
 
 

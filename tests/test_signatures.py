@@ -105,15 +105,6 @@ def test_public_key_json_scheme_mismatch_rejected():
         scheme.public_key_from_json(doc)
 
 
-def test_secret_key_json_round_trip_preserves_used_flag():
-    scheme, pair = keypair()
-    scheme.sign(pair.secret, BitString.from_text("gone"))
-    restored = scheme.secret_key_from_json(scheme.secret_key_to_json(pair.secret))
-    assert restored.used
-    with pytest.raises(ValueError):
-        scheme.sign(restored, BitString.from_text("again"))
-
-
 def test_cross_key_verification_fails():
     scheme, pair_a = keypair(seed=3)
     _, pair_b = keypair(seed=4)

@@ -350,22 +350,15 @@ def test_state_of_spans_product_groups():
     assert overlap_mod(got, want) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_overlap_of_two_registers():
-    world = World(seed=36)
-    a = world.allocate(Owner.ALICE, (0.6, 0.8))
-    b = world.allocate(Owner.ALICE, (1.0, 0.0))
-    assert world.overlap([a], [b]) == pytest.approx(0.6, abs=1e-12)
-
-
 # ----------------------------------------------------------------------
-# copy, snapshots, prng continuity
+# snapshots: copies, prng continuity, validation
 # ----------------------------------------------------------------------
 
 
 def test_copy_is_independent():
     world = World(seed=40)
     q = world.allocate(Owner.ALICE, (0.6, 0.8))
-    twin = world.copy()
+    twin = World.from_json(world.to_json())
     world.apply_gate(PAULI_X, [q])
     assert overlap_mod(twin.state_of([q]), [0.6, 0.8]) == pytest.approx(1.0)
     assert overlap_mod(world.state_of([q]), [0.8, 0.6]) == pytest.approx(1.0)
@@ -374,7 +367,7 @@ def test_copy_is_independent():
 def test_copy_replays_identical_randomness():
     world = World(seed=41)
     qs = [world.allocate(Owner.ALICE, (1 / SQRT2, 1 / SQRT2)) for _ in range(12)]
-    twin = world.copy()
+    twin = World.from_json(world.to_json())
     assert [world.measure_computational(q) for q in qs] == [
         twin.measure_computational(q) for q in qs
     ]
@@ -427,14 +420,36 @@ def test_snapshot_rejects_duplicate_handles():
         World.from_json(doc)
 
 
-def test_save_load_file_round_trip(tmp_path):
-    world = World(seed=52)
-    world.allocate(Owner.ALICE, haar_random_qubit(world.rng))
-    path = tmp_path / "world.json"
-    world.save(path)
-    first = path.read_bytes()
-    World.load(path).save(path)
-    assert path.read_bytes() == first
+def _break_norm(doc):
+    doc["groups"][0]["amplitudes"] = [[1.2, 0.0], [1.6, 0.0]]
+
+
+def _nan_amplitude(doc):
+    doc["groups"][0]["amplitudes"][0] = [float("nan"), 0.0]
+
+
+def _qid_at_next_qid(doc):
+    doc["groups"][1]["qubits"][0][0] = doc["next_qid"]
+
+
+def _shared_qid(doc):
+    # same id, different owner: two distinct handles for one qubit
+    doc["groups"][1]["qubits"][0][0] = doc["groups"][0]["qubits"][0][0]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_nan_amplitude, "finite"), (_break_norm, "norm"),
+     (_qid_at_next_qid, "next_qid"), (_shared_qid, "twice")],
+)
+def test_snapshot_rejects_invalid_worlds(corrupt, message):
+    world = World(seed=53)
+    world.allocate(Owner.ALICE, (0.6, 0.8))
+    world.allocate(Owner.BANK)
+    doc = world.to_json()
+    corrupt(doc)
+    with pytest.raises(ValueError, match=message):
+        World.from_json(doc)
 
 
 # ----------------------------------------------------------------------

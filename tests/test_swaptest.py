@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from qcheque.protocol import AcceptancePolicy
 from qcheque.sim import Owner, World, haar_random_qubit
 from qcheque.stats import binomial_sigma, within_sigma
-from qcheque.swaptest import repeated_swap_test, swap_test
+from qcheque.swaptest import swap_test
 
 
 def test_identical_pure_states_always_pass():
@@ -88,37 +87,6 @@ def test_register_validation():
     world.discard(b)
     with pytest.raises(ValueError):
         swap_test(world, [a], [b])
-
-
-def test_ancilla_owner_is_configurable():
-    world = World(seed=7)
-    a = world.allocate(Owner.ALICE)
-    b = world.allocate(Owner.ALICE)
-    swap_test(world, [a], [b], ancilla_owner=Owner.PAYEE)
-    # the ancilla is gone either way; only the registers remain
-    assert world.qubit_count == 2
-
-
-def test_repeated_swap_test_strict_policy():
-    world = World(seed=8)
-    policy = AcceptancePolicy(mode="strict")
-    pairs = []
-    for _ in range(3):
-        amps = haar_random_qubit(world.rng)
-        pairs.append(([world.allocate(Owner.ALICE, amps)], [world.allocate(Owner.BANK, amps)]))
-    verdict, outcomes = repeated_swap_test(world, pairs, policy)
-    assert verdict
-    assert len(outcomes) == 3
-    assert all(o.passed for o in outcomes)
-
-
-def test_repeated_swap_test_rejects_overlapping_pairs():
-    world = World(seed=9)
-    a = world.allocate(Owner.ALICE)
-    b = world.allocate(Owner.ALICE)
-    c = world.allocate(Owner.ALICE)
-    with pytest.raises(ValueError):
-        repeated_swap_test(world, [([a], [b]), ([a], [c])], AcceptancePolicy())
 
 
 def test_mixed_state_pass_rate_uses_density_overlap():
