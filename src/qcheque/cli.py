@@ -88,15 +88,22 @@ def _config_doc(args, params: SchemeParams, strategy: str | None) -> dict:
     }
 
 
+def _header(command: str) -> dict:
+    """The fields every report document starts with."""
+    return {
+        "format": REPORT_FORMAT,
+        "version": REPORT_VERSION,
+        "library_version": __version__,
+        "command": command,
+    }
+
+
 def _report(command: str, config_doc: dict, stats: AttackStats) -> tuple[dict, int]:
     agrees = within_sigma(
         stats.empirical_rate, stats.analytic_rate, stats.analytic_sigma, z=4.0
     )
     doc = {
-        "format": REPORT_FORMAT,
-        "version": REPORT_VERSION,
-        "library_version": __version__,
-        "command": command,
+        **_header(command),
         "config": config_doc,
         "stats": stats.to_json(),
         "within_4_sigma": agrees,
@@ -121,19 +128,23 @@ def cmd_attack(args) -> int:
     return code
 
 
+def _scenario(config: dict, world: World, bank: Bank, cheque: QuantumCheque) -> dict:
+    return {
+        "format": SCENARIO_FORMAT,
+        "version": SCENARIO_VERSION,
+        "config": config,
+        "world": world.to_json(),
+        "bank": bank.to_json(),
+        "cheque": cheque.to_json(),
+    }
+
+
 def _scenario_doc(args, params: SchemeParams) -> dict:
     world = World(seed=args.seed)
     bank = Bank()
     book, _ = bank.gen_account(world, ACCOUNT_ID, params)
     cheque = sign_cheque(world, book, encode_amount(SNAPSHOT_AMOUNT_UNITS))
-    return {
-        "format": SCENARIO_FORMAT,
-        "version": SCENARIO_VERSION,
-        "config": {"params": params.to_json(), "seed": args.seed},
-        "world": world.to_json(),
-        "bank": bank.to_json(),
-        "cheque": cheque.to_json(),
-    }
+    return _scenario({"params": params.to_json(), "seed": args.seed}, world, bank, cheque)
 
 
 def cmd_snapshot(args) -> int:
@@ -143,10 +154,7 @@ def cmd_snapshot(args) -> int:
         fh.write(_dump(doc))
     world_doc = doc["world"]
     summary = {
-        "format": REPORT_FORMAT,
-        "version": REPORT_VERSION,
-        "library_version": __version__,
-        "command": "snapshot",
+        **_header("snapshot"),
         "config": doc["config"],
         "snapshot_path": args.snapshot,
         "qubits": sum(len(g["qubits"]) for g in world_doc["groups"]),
@@ -189,21 +197,10 @@ def _load_scenario(path: str) -> tuple[dict, World, Bank, QuantumCheque]:
 def cmd_restore(args) -> int:
     doc, world, bank, cheque = _load_scenario(args.snapshot)
     if args.out:
-        rebuilt = {
-            "format": SCENARIO_FORMAT,
-            "version": SCENARIO_VERSION,
-            "config": doc["config"],
-            "world": world.to_json(),
-            "bank": bank.to_json(),
-            "cheque": cheque.to_json(),
-        }
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dump(rebuilt))
+            fh.write(_dump(_scenario(doc["config"], world, bank, cheque)))
     summary = {
-        "format": REPORT_FORMAT,
-        "version": REPORT_VERSION,
-        "library_version": __version__,
-        "command": "restore",
+        **_header("restore"),
         "snapshot_path": args.snapshot,
         "accounts": len(bank.to_json()["records"]),
         "live_qubits": world.qubit_count,
@@ -296,10 +293,7 @@ def cmd_selftest(args) -> int:
             results.append({"name": name, "passed": False, "detail": str(exc)})
     all_passed = all(r["passed"] for r in results)
     doc = {
-        "format": REPORT_FORMAT,
-        "version": REPORT_VERSION,
-        "library_version": __version__,
-        "command": "selftest",
+        **_header("selftest"),
         "config": {"seed": args.seed},
         "checks": results,
         "status": "PASS" if all_passed else "FAIL",
@@ -385,10 +379,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         return args.func(args)
-    except CliFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (CliFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

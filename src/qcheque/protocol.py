@@ -339,7 +339,8 @@ class Bank:
         Classical checks run before any qubit is touched, so a replayed
         serial is refused without consuming bank-side entanglement.  All
         submitted quantum registers are destroyed on every terminal
-        outcome and the serial is retired.
+        outcome and the serial is retired.  Handles in bank custody are
+        never destroyed; naming one is a shape error.
         """
         session, seq = self._open_session()
         self._log(session, seq, "branch", "main", "verify-request",
@@ -437,6 +438,8 @@ class Bank:
             raise ValueError("cheque lists a qubit handle twice")
         for q in handles:
             world.group_of(q)
+            if q.owner is Owner.BANK:
+                raise ValueError(f"cheque lists {q!r}, which is in bank custody")
 
     # ------------------------------------------------------------------
     # persistence
@@ -549,7 +552,11 @@ def sign_cheque(world: World, book: ChequeBook, amount: BitString) -> QuantumChe
 
 
 def destroy_cheque(world: World, cheque: QuantumCheque) -> None:
-    """Measure out and retire whatever cheque qubits are still alive."""
+    """Measure out and retire whatever cheque qubits are still alive.
+
+    Handles in bank custody are left alone: a submission that names vault
+    qubits must not be able to destroy them.
+    """
     for q in list(cheque.amount_qubits) + list(cheque.auth_qubits):
-        if q in world:
+        if q in world and q.owner is not Owner.BANK:
             world.discard(q)

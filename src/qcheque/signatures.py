@@ -63,14 +63,12 @@ class LamportSignatureScheme:
 
     identifier = "lamport-sha256-v1"
 
-    def generate_keypair(self, security_parameter: int = 128, rng: np.random.Generator | None = None) -> KeyPair:
+    def generate_keypair(self, security_parameter: int, rng: np.random.Generator) -> KeyPair:
         """Draw a fresh keypair; `security_parameter` is the preimage length in bits."""
         if security_parameter < 64:
             raise ValueError("security_parameter must be at least 64 bits")
         if security_parameter % 8:
             raise ValueError("security_parameter must be a whole number of bytes")
-        if rng is None:
-            rng = np.random.default_rng()
         width = security_parameter // 8
         secret_entries = []
         public_entries = []

@@ -4,7 +4,14 @@ A :class:`World` owns every qubit in a scenario.  Qubits that have never
 interacted live in separate state groups, so a world of many independent
 small registers stays cheap: cost scales with the largest entangled group,
 not with the total qubit count.  Multi-qubit operations merge groups on
-demand; measurements split factored qubits back out.
+demand.
+
+Every measurement is one collapse kernel, ``World._measure``, run with a
+basis and a choice of what happens to the measured qubits.  Computational
+(Z) and Hadamard (X) measurement keep the qubit as a fresh singleton in
+the observed basis state; Bell measurement and ``discard`` (a Z
+measurement) retire the measured qubits for good.  Whatever else shared
+their group keeps the normalised branch, in place.
 
 Conventions used throughout the package:
 
@@ -25,6 +32,7 @@ the world through gates and measurements.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -99,6 +107,28 @@ BELL_STATES: dict[BellOutcome, np.ndarray] = {
     BellOutcome.PHI_PLUS: np.array([[0, 1], [1, 0]], dtype=complex) / _SQRT2,
     BellOutcome.PHI_MINUS: np.array([[0, 1], [-1, 0]], dtype=complex) / _SQRT2,
 }
+
+
+def _basis(states) -> tuple:
+    """A measurement basis for `World._measure`, from (label, state) pairs.
+
+    Each entry is (label, flat state, terms), in the fixed order of
+    cumulative sampling.  `terms` pairs the index of every nonzero
+    amplitude with its conjugate, so projecting onto a state sums only
+    those slices of the group tensor and copies nothing else.
+    """
+    return tuple(
+        (label, np.asarray(state, dtype=complex).reshape(-1),
+         tuple((index, np.conj(amp)) for index, amp in np.ndenumerate(state) if amp))
+        for label, state in states
+    )
+
+
+# Real amplitudes, so a Z branch is its slice bit for bit (a complex 1
+# would flip the sign of some zeros).
+_Z_BASIS = _basis([(0, np.array([1.0, 0.0])), (1, np.array([0.0, 1.0]))])
+_X_BASIS = _basis([(HadamardOutcome.PLUS, HADAMARD[0].real), (HadamardOutcome.MINUS, HADAMARD[1].real)])
+_BELL_BASIS = _basis((label, state.real) for label, state in BELL_STATES.items())
 
 _NORM_TOL = 1e-9
 _UNITARY_TOL = 1e-9
@@ -253,16 +283,11 @@ class World:
         self._apply_unitary(group, fredkin, positions)
 
     def _merged_group_for(self, targets) -> StateGroup:
-        for t in targets:
-            self.group_of(t)
-        groups: list[StateGroup] = []
-        for t in targets:
-            g = self._index[t]
-            if g not in groups:
-                groups.append(g)
-        while len(groups) > 1:
-            groups = [self._merge(groups[0], groups[1])] + groups[2:]
-        return groups[0]
+        groups = self._groups_for(targets)
+        merged = groups[0]
+        for g in groups[1:]:
+            merged = self._merge(merged, g)
+        return merged
 
     def _merge(self, g1: StateGroup, g2: StateGroup) -> StateGroup:
         total = g1.n_qubits + g2.n_qubits
@@ -295,24 +320,11 @@ class World:
     def measure_computational(self, q: QubitHandle) -> int:
         """Projective Z-basis measurement.  The measured qubit factors out
         into its own singleton group holding |0> or |1>."""
-        group = self.group_of(q)
-        pos = group.position(q)
-        psi = group.amps.reshape((2,) * group.n_qubits)
-        slice0 = np.take(psi, 0, axis=pos)
-        p0 = float(np.vdot(slice0, slice0).real)
-        outcome = 0 if self.rng.random() < p0 else 1
-        kept = slice0 if outcome == 0 else np.take(psi, 1, axis=pos)
-        self._collapse_out(group, q, kept)
-        basis = np.array([1.0, 0.0], dtype=complex) if outcome == 0 else np.array([0.0, 1.0], dtype=complex)
-        self._adopt_singleton(q, basis)
-        return outcome
+        return self._measure([q], _Z_BASIS, retire=False)
 
     def measure_hadamard(self, q: QubitHandle) -> HadamardOutcome:
         """Projective X-basis measurement; the qubit is left in |+> or |->."""
-        self.apply_gate(HADAMARD, [q])
-        bit = self.measure_computational(q)
-        self.apply_gate(HADAMARD, [q])
-        return HadamardOutcome.PLUS if bit == 0 else HadamardOutcome.MINUS
+        return self._measure([q], _X_BASIS, retire=False)
 
     def measure_bell(self, q1: QubitHandle, q2: QubitHandle) -> BellOutcome:
         """Joint Bell-basis measurement of a qubit pair.
@@ -321,43 +333,7 @@ class World:
         survives, and whatever else was entangled with the pair collapses
         onto the matching branch.
         """
-        if q1 == q2:
-            raise ValueError("bell measurement needs two distinct qubits")
-        self.group_of(q1)
-        self.group_of(q2)
-        group = self._merged_group_for([q1, q2])
-        n = group.n_qubits
-        p1, p2 = group.position(q1), group.position(q2)
-        psi = group.amps.reshape((2,) * n)
-
-        residuals = {}
-        probs = {}
-        for label, bell in BELL_STATES.items():
-            resid = np.tensordot(bell.conj(), psi, axes=([0, 1], [p1, p2]))
-            residuals[label] = resid
-            probs[label] = float(np.vdot(resid, resid).real)
-
-        u = self.rng.random() * sum(probs.values())
-        acc = 0.0
-        outcome = BellOutcome.PHI_MINUS
-        for label in BELL_STATES:
-            acc += probs[label]
-            if u < acc:
-                outcome = label
-                break
-
-        resid = residuals[outcome]
-        norm = np.sqrt(probs[outcome])
-        remaining = [qq for qq in group.qubits if qq not in (q1, q2)]
-        self._groups.remove(group)
-        del self._index[q1]
-        del self._index[q2]
-        if remaining:
-            new_group = StateGroup(remaining, (resid / norm).reshape(-1))
-            self._groups.append(new_group)
-            for qq in remaining:
-                self._index[qq] = new_group
-        return outcome
+        return self._measure([q1, q2], _BELL_BASIS, retire=True)
 
     def discard(self, q: QubitHandle) -> None:
         """Measure a qubit out and retire its handle.
@@ -365,27 +341,48 @@ class World:
         Used to destroy cheque registers after verification and to clean
         up scratch ancillas; unknown handles raise.
         """
-        self.measure_computational(q)
-        group = self._index.pop(q)
-        self._groups.remove(group)
+        self._measure([q], _Z_BASIS, retire=True)
 
-    def _collapse_out(self, group: StateGroup, q: QubitHandle, kept: np.ndarray) -> None:
-        """Remove qubit q from its group, keeping the given sliced branch."""
-        norm = np.linalg.norm(kept)
+    def _measure(self, targets: list[QubitHandle], basis, retire: bool):
+        """Born-rule measurement of `targets` in a basis built by `_basis`.
+
+        One uniform is drawn and the branches are projected out in basis
+        order until their running probability exceeds it, so later
+        branches cost nothing.  The normalised residual stays in the same
+        group object; the targets are then retired, or re-adopted as a
+        fresh group holding the chosen basis state.  Returns the label.
+        """
+        if len(set(targets)) != len(targets):
+            raise ValueError("measured qubits must be distinct")
+        group = self._merged_group_for(targets)
+        k = len(targets)
+        positions = [group.position(t) for t in targets]
+        psi = np.moveaxis(group.amps.reshape((2,) * group.n_qubits), positions, range(k))
+        u = self.rng.random()
+        acc = 0.0
+        for label, state, terms in basis:
+            kept = functools.reduce(np.add, [amp * psi[index] for index, amp in terms]).reshape(-1)
+            p = float(np.vdot(kept, kept).real)
+            acc += p
+            if u < acc:
+                break
+        norm = np.sqrt(p)
         if norm < 1e-12:
             raise RuntimeError("collapsed onto a zero branch; numerical state is corrupt")
-        remaining = [qq for qq in group.qubits if qq != q]
-        if remaining:
-            group.qubits = remaining
-            group.amps = np.ascontiguousarray(kept).reshape(-1) / norm
+        if k < group.n_qubits:
+            group.qubits = [q for q in group.qubits if q not in targets]
+            group.amps = kept / norm
         else:
             self._groups.remove(group)
-        del self._index[q]
-
-    def _adopt_singleton(self, q: QubitHandle, amps: np.ndarray) -> None:
-        group = StateGroup([q], amps)
-        self._groups.append(group)
-        self._index[q] = group
+        if retire:
+            for t in targets:
+                del self._index[t]
+        else:
+            fresh = StateGroup(list(targets), state.copy())
+            self._groups.append(fresh)
+            for t in targets:
+                self._index[t] = fresh
+        return label
 
     # ------------------------------------------------------------------
     # introspection (tests and analysis only)
@@ -417,28 +414,12 @@ class World:
         otherwise this raises.  Global phase is canonicalised so equal
         registers compare equal.
         """
-        register = list(register)
-        if len(set(register)) != len(register):
-            raise ValueError("register handles must be distinct")
-        if not register:
-            raise ValueError("register must not be empty")
-        groups = self._groups_for(register)
-        covered = [q for g in groups for q in g.qubits]
-        if len(covered) == len(register):
-            psi, joined = self._joint_state(register)
-            m = len(joined)
-            dest = [register.index(q) for q in joined]
-            psi = np.moveaxis(psi.reshape((2,) * m), list(range(m)), dest)
-            vec = np.ascontiguousarray(psi).reshape(-1)
-        else:
-            rho = self.reduced_density(register)
-            purity = float(np.trace(rho @ rho).real)
-            if purity < 1.0 - _NORM_TOL:
-                raise ValueError(
-                    f"register is entangled with other qubits (purity {purity:.6f})"
-                )
-            vals, vecs = np.linalg.eigh(rho)
-            vec = vecs[:, int(np.argmax(vals))]
+        rho = self.reduced_density(register)
+        purity = float(np.trace(rho @ rho).real)
+        if purity < 1.0 - _NORM_TOL:
+            raise ValueError(f"register is entangled with other qubits (purity {purity:.6f})")
+        vals, vecs = np.linalg.eigh(rho)
+        vec = vecs[:, int(np.argmax(vals))]
         pivot = int(np.argmax(np.abs(vec)))
         phase = vec[pivot] / abs(vec[pivot])
         return vec / phase

@@ -16,8 +16,9 @@ nothing and no local action on the cheque qubit can signal to the bank.
 
 Recovery measures the bank qubit in the X basis and applies Z to the
 cheque qubit on a minus outcome.  That restores the payload exactly for
-every one of the eight outcome combinations; both tables below are
-cross-checked against the branch algebra in the test suite.
+every one of the eight outcome combinations; the encode table below and
+this recovery rule are cross-checked against the branch algebra in the
+test suite.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ ENCODE_CORRECTIONS: dict[BellOutcome, tuple[str, np.ndarray]] = {
     BellOutcome.PHI_MINUS: ("Y", PAULI_Y),
 }
 
-RECOVERY_CORRECTIONS: dict[HadamardOutcome, tuple[str, np.ndarray]] = {
-    HadamardOutcome.PLUS: ("I", ID2),
-    HadamardOutcome.MINUS: ("Z", PAULI_Z),
-}
-
 
 @dataclass
 class GhzTriple:
@@ -101,15 +97,10 @@ class RecoveryRecord:
     correction: str
 
 
-def prepare_ghz(
-    world: World,
-    index: int,
-    issuer_owner: Owner = Owner.ALICE,
-    bank_owner: Owner = Owner.BANK,
-) -> GhzTriple:
-    """Allocate a fresh GHZ triple with the conventional custody split."""
+def prepare_ghz(world: World, index: int) -> GhzTriple:
+    """Allocate a fresh GHZ triple: two issuer qubits and one vault qubit."""
     issuer_a, issuer_b, bank = world.allocate_group(
-        [issuer_owner, issuer_owner, bank_owner], GHZ_AMPLITUDES
+        [Owner.ALICE, Owner.ALICE, Owner.BANK], GHZ_AMPLITUDES
     )
     return GhzTriple(index=index, issuer_qubit=issuer_a, cheque_qubit=issuer_b, bank_qubit=bank)
 
@@ -139,7 +130,8 @@ def recover_qubit(world: World, bank_qubit: QubitHandle, cheque_qubit: QubitHand
     the cheque qubit holds the original payload up to global phase.
     """
     outcome = world.measure_hadamard(bank_qubit)
-    name, pauli = RECOVERY_CORRECTIONS[outcome]
+    correction = "I"
     if outcome is HadamardOutcome.MINUS:
-        world.apply_gate(pauli, [cheque_qubit])
-    return RecoveryRecord(qubit=cheque_qubit, outcome=outcome, correction=name)
+        world.apply_gate(PAULI_Z, [cheque_qubit])
+        correction = "Z"
+    return RecoveryRecord(qubit=cheque_qubit, outcome=outcome, correction=correction)

@@ -1,17 +1,53 @@
 """The command-line surface, exercised through real subprocesses."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
+import pytest
+
 BASE = [sys.executable, "-m", "qcheque"]
 FAST = ["--l", "2", "--n", "2", "--key-bits", "64", "--serial-bits", "64"]
+
+
+# sha256 of the stdout of each command below (and of the scenario file
+# `snapshot` writes), recorded before measurement shared one collapse
+# kernel in the simulator.  Any change to a drawn sample, a verdict or a
+# stored amplitude shows here.
+PINNED_OUTPUT_DIGESTS = {
+    "run-honest": "1b0039c9e4082e6fcfa37094ad0af8efc75fc97b797f04fa451ff2ae119b01b8",
+    "replay": "4ba919edc05d37b27f69e75110dc7ad351323fb627bade75aa8e0f01f7148042",
+    "clone-double-spend": "398053162b5d4ebce4de0079e8dc53404d07e03701a93c015cf53f33d76432ab",
+    "tamper-amount": "cf9aa783254cc58e2543871d8e34e36b41da7efc27fafaaf79f5a4a1dd7bcf32",
+    "forge-key-guess": "4d3b14e0933ade932abf28a79e592d8a32bf6ebcc293ce2daeb7eb2091878f70",
+    "local-tamper": "b3df6e0a1a232a2cc41934964e857ea0b683984595d66ef7c597effa3ae14474",
+    "snapshot": "7c549f43cfec61e16cee7e0356f1e10bca7c5fa0dc53db32a12b879fbbd92b62",
+}
 
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
         BASE + list(args), capture_output=True, text=True, timeout=120, cwd=cwd
     )
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_OUTPUT_DIGESTS))
+def test_fixed_seed_output_bytes_are_pinned(command, tmp_path):
+    if command == "snapshot":
+        scenario = tmp_path / "scenario.json"
+        proc = run_cli("snapshot", *FAST, "--seed", "9", "--snapshot", str(scenario))
+        output = scenario.read_bytes()  # the summary echoes the path; hash the file
+    elif command == "run-honest":
+        proc = run_cli("run-honest", *FAST, "--trials", "10", "--seed", "11")
+        output = proc.stdout.encode()
+    else:
+        key_bits = ["--key-bits", "8"] if command == "forge-key-guess" else []
+        proc = run_cli("attack", "--strategy", command, *FAST, *key_bits,
+                       "--trials", "10", "--seed", "11")
+        output = proc.stdout.encode()
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(output).hexdigest() == PINNED_OUTPUT_DIGESTS[command]
 
 
 def test_run_honest_report():

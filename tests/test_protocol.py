@@ -210,6 +210,29 @@ def test_dead_handle_raises():
     assert_serial_retired(world, bank, record, cheque, cheque)
 
 
+def test_junk_cheque_cannot_destroy_another_vault():
+    # an unknown serial that names alice's vault qubits is rejected, and
+    # the rejection must not measure the bank's side of her triples
+    world, bank, _, record, cheque = issue(seed=2)
+    junk = replace(cheque, serial=cheque.serial.flip(0),
+                   amount_qubits=tuple(record.bank_qubits), auth_qubits=())
+    assert bank.verify_cheque(world, junk).reason is RejectReason.UNKNOWN_ID_SERIAL
+    assert all(q in world for q in record.bank_qubits)
+    assert bank.verify_cheque(world, cheque).reason is RejectReason.OK
+    world.check_partition()
+
+
+def test_vault_handles_as_amount_registers_raise_after_retirement():
+    world, bank, _, record, cheque = issue(seed=1)
+    aliased = replace(cheque, amount_qubits=tuple(record.bank_qubits))
+    with pytest.raises(ValueError, match="custody"):
+        bank.verify_cheque(world, aliased)
+    assert record.destroyed and not record.spent
+    assert all(q in world for q in record.bank_qubits)
+    assert bank.verify_cheque(world, cheque).reason is RejectReason.DOUBLE_SPEND
+    world.check_partition()
+
+
 def test_cheque_book_signs_once():
     world = World(seed=21)
     bank = Bank()

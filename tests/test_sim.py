@@ -250,6 +250,76 @@ def test_hadamard_basis_measurement():
     assert within_sigma(plusses / trials, 0.5, binomial_sigma(0.5, trials))
 
 
+def _twin_worlds(seed):
+    """A world holding one random 3-qubit group, and a copy made by snapshot."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    world = World(seed=seed)
+    qs = world.allocate_group([Owner.ALICE] * 3, amps / np.linalg.norm(amps))
+    return world, World.from_json(world.to_json()), qs
+
+
+def assert_same_world(world, twin):
+    """The twin's live qubits, grouped and ordered alike, with amplitudes
+    within 1e-12, and both PRNGs at the same position."""
+    assert world.handles() == [q for q in twin.handles() if q in world]
+    for q in world.handles():
+        mine, theirs = world.group_of(q), twin.group_of(q)
+        assert mine.qubits == theirs.qubits
+        assert np.max(np.abs(mine.amps - theirs.amps)) < 1e-12
+    assert world.rng.bit_generator.state == twin.rng.bit_generator.state
+
+
+def assert_one_draw(world, seed):
+    """A measurement consumes exactly one uniform from the world's PRNG."""
+    reference = np.random.default_rng(seed)
+    reference.random()
+    assert world.rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_hadamard_measurement_matches_gate_sandwich():
+    # the X-basis kernel against the H, Z-measure, H circuit as the oracle
+    for seed in range(20):
+        for pos in range(3):
+            world, twin, qs = _twin_worlds(seed)
+            got = world.measure_hadamard(qs[pos])
+            twin.apply_gate(HADAMARD, [qs[pos]])
+            bit = twin.measure_computational(qs[pos])
+            twin.apply_gate(HADAMARD, [qs[pos]])
+            assert got is (HadamardOutcome.PLUS if bit == 0 else HadamardOutcome.MINUS)
+            assert_same_world(world, twin)
+            assert_one_draw(world, seed)
+
+
+def test_discard_matches_measure_then_drop():
+    for seed in range(20):
+        for pos in range(3):
+            world, twin, qs = _twin_worlds(seed)
+            world.discard(qs[pos])
+            twin.measure_computational(qs[pos])
+            assert qs[pos] not in world
+            assert_same_world(world, twin)
+            assert_one_draw(world, seed)
+            world.check_partition()
+
+
+@pytest.mark.parametrize("measure", ["measure_computational", "measure_bell"])
+def test_zero_branch_is_refused(measure):
+    world = World(seed=0)
+    a, b = world.allocate_group([Owner.ALICE] * 2, [1, 0, 0, 0])
+    world.group_of(a).amps = np.zeros(4, dtype=complex)  # a corrupt state
+    targets = [a] if measure == "measure_computational" else [a, b]
+    with pytest.raises(RuntimeError, match="zero branch"):
+        getattr(world, measure)(*targets)
+
+
+def test_bell_measurement_needs_distinct_qubits():
+    world = World(seed=0)
+    q = world.allocate(Owner.ALICE)
+    with pytest.raises(ValueError, match="distinct"):
+        world.measure_bell(q, q)
+
+
 def test_bell_state_table_algebra():
     """Pin the labelling: PSI states live on |00>, |11>; PHI on |01>, |10>."""
     assert np.allclose(BELL_STATES[BellOutcome.PSI_PLUS].reshape(-1), [1, 0, 0, 1] / SQRT2)
