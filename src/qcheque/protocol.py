@@ -339,8 +339,9 @@ class Bank:
         Classical checks run before any qubit is touched, so a replayed
         serial is refused without consuming bank-side entanglement.  All
         submitted quantum registers are destroyed on every terminal
-        outcome and the serial is retired.  Handles in bank custody are
-        never destroyed; naming one is a shape error.
+        outcome and the serial is retired, along with whatever is left of
+        the account's vault.  Handles in bank custody are never destroyed
+        as part of a submission; naming one is a shape error.
         """
         session, seq = self._open_session()
         self._log(session, seq, "branch", "main", "verify-request",
@@ -363,16 +364,14 @@ class Bank:
         signature_ok = self.scheme.verify(record.public_key, cheque.serial, cheque.signature)
         self._log(session, seq, "branch", "main", "signature-status", {"valid": signature_ok})
         if not signature_ok:
-            destroy_cheque(world, cheque)
-            record.destroyed = True
+            self._retire(world, record, cheque)
             return VerifyResult(False, RejectReason.BAD_SIGNATURE)
 
         params = record.params
         try:
             self._require_shape(world, cheque, params)
         except ValueError:
-            destroy_cheque(world, cheque)
-            record.destroyed = True
+            self._retire(world, record, cheque)
             raise
 
         # quantum phase: recover each amount state onto its cheque qubit
@@ -410,8 +409,7 @@ class Bank:
 
         self._log(session, seq, "branch", "main", "verdict",
                   {"accepted": accepted, "reason": reason.value})
-        destroy_cheque(world, cheque)
-        record.destroyed = True
+        self._retire(world, record, cheque)
         if accepted:
             record.spent = True
         return VerifyResult(
@@ -421,6 +419,15 @@ class Bank:
             failed_amount_indices=failed if reason is RejectReason.AMOUNT_STATE_FAIL else (),
             auth_passed=auth_passed,
         )
+
+    def _retire(self, world: World, record: BankRecord, cheque: QuantumCheque) -> None:
+        """Destroy the submission, discard the account's still-live vault
+        qubits and retire the serial: no later session can use either."""
+        destroy_cheque(world, cheque)
+        for q in record.bank_qubits:
+            if q in world:
+                world.discard(q)
+        record.destroyed = True
 
     def _require_shape(self, world: World, cheque: QuantumCheque, params: SchemeParams) -> None:
         handles = list(cheque.amount_qubits) + list(cheque.auth_qubits)

@@ -11,7 +11,11 @@ basis and a choice of what happens to the measured qubits.  Computational
 (Z) and Hadamard (X) measurement keep the qubit as a fresh singleton in
 the observed basis state; Bell measurement and ``discard`` (a Z
 measurement) retire the measured qubits for good.  Whatever else shared
-their group keeps the normalised branch, in place.
+their group keeps the normalised branch, in place.  ``measure_swap``, the
+swap test, is the one measurement outside that kernel: it projects two
+registers onto the symmetric or antisymmetric part of their joint state
+under exchange, an axis permutation of the group tensor, and keeps both
+registers live.
 
 Conventions used throughout the package:
 
@@ -342,6 +346,52 @@ class World:
         up scratch ancillas; unknown handles raise.
         """
         self._measure([q], _Z_BASIS, retire=True)
+
+    def measure_swap(self, register_a, register_b) -> bool:
+        """Swap-test measurement of two equal-length registers.
+
+        With S the permutation that exchanges register_a with register_b,
+        the pass outcome projects onto (I+S)/2 and the fail outcome onto
+        (I-S)/2, so the test passes with probability ||(psi + S psi)/2||^2.
+        S is one transpose of the merged group's tensor.  Both registers
+        stay live, in one group holding the normalised branch.  Returns
+        True on a pass.
+        """
+        register_a = list(register_a)
+        register_b = list(register_b)
+        if len(register_a) != len(register_b):
+            raise ValueError("registers differ in length")
+        if not register_a:
+            raise ValueError("registers must not be empty")
+        # Pair by pair, so groups merge in the order of the Fredkin
+        # cascade this measurement replaces.
+        targets = [q for pair in zip(register_a, register_b) for q in pair]
+        if len(set(targets)) != len(targets):
+            raise ValueError("registers overlap or repeat a handle")
+        group = self._merged_group_for(targets)
+        n = group.n_qubits
+        axes = list(range(n))
+        for a, b in zip(register_a, register_b):
+            i, j = group.position(a), group.position(b)
+            axes[i], axes[j] = j, i
+        psi = group.amps.reshape((2,) * n)
+        swapped = psi.transpose(axes)
+        u = self.rng.random()
+        kept = psi + swapped
+        p = float(np.vdot(kept, kept).real) / 4.0
+        passed = u < p
+        if not passed:
+            np.subtract(psi, swapped, out=kept)
+            p = float(np.vdot(kept, kept).real) / 4.0
+        norm = np.sqrt(p)
+        if norm < 1e-12:
+            raise RuntimeError("collapsed onto a zero branch; numerical state is corrupt")
+        kept /= 2.0 * norm
+        group.amps = kept.reshape(-1)
+        # The ancilla circuit drew a second uniform when it discarded the
+        # ancilla; drawing it here keeps fixed-seed reports byte-identical.
+        self.rng.random()
+        return passed
 
     def _measure(self, targets: list[QubitHandle], basis, retire: bool):
         """Born-rule measurement of `targets` in a basis built by `_basis`.

@@ -125,6 +125,16 @@ def test_deposit_consumes_all_quantum_state():
     assert world.qubit_count == 0
 
 
+def test_default_deposit_fits_sixteen_qubit_groups():
+    # at l=8, n=8 the widest step is the authentication swap test: 8
+    # cheque and 8 target qubits in one group, and nothing else
+    world = World(seed=22, max_group_qubits=16)
+    bank = Bank()
+    book, _ = bank.gen_account(world, "alice", SchemeParams())
+    cheque = sign_cheque(world, book, encode_amount(42))
+    assert bank.verify_cheque(world, cheque).accepted
+
+
 def test_transcript_logs_one_recovery_per_triple():
     world, bank, _, _, cheque = issue(seed=13)
     bank.verify_cheque(world, cheque)
@@ -172,17 +182,24 @@ def test_bad_signature_quarantines_the_serial():
     result = bank.verify_cheque(world, forged)
     assert result.reason is RejectReason.BAD_SIGNATURE
     assert record.destroyed and not record.spent
+    # the retired account's vault qubits go with the forged registers
+    assert world.qubit_count == 0
     # the genuine cheque can no longer be deposited either
     retry = bank.verify_cheque(world, cheque)
     assert retry.reason is RejectReason.DOUBLE_SPEND
+    assert world.qubit_count == 0
+    world.check_partition()
 
 
 def assert_serial_retired(world, bank, record, cheque, submitted):
-    # a malformed submission is destroyed and still burns the serial, so
-    # the genuine cheque cannot be deposited after it
+    # a malformed submission is destroyed and still burns the serial and
+    # the account's vault, so the genuine cheque cannot be deposited after
+    # it and no qubit outlives the two sessions
     assert not any(q in world for q in submitted.amount_qubits + submitted.auth_qubits)
+    assert not any(q in world for q in record.bank_qubits)
     assert record.destroyed and not record.spent
     assert bank.verify_cheque(world, cheque).reason is RejectReason.DOUBLE_SPEND
+    assert world.qubit_count == 0
     world.check_partition()
 
 
@@ -227,10 +244,7 @@ def test_vault_handles_as_amount_registers_raise_after_retirement():
     aliased = replace(cheque, amount_qubits=tuple(record.bank_qubits))
     with pytest.raises(ValueError, match="custody"):
         bank.verify_cheque(world, aliased)
-    assert record.destroyed and not record.spent
-    assert all(q in world for q in record.bank_qubits)
-    assert bank.verify_cheque(world, cheque).reason is RejectReason.DOUBLE_SPEND
-    world.check_partition()
+    assert_serial_retired(world, bank, record, cheque, aliased)
 
 
 def test_cheque_book_signs_once():

@@ -303,14 +303,14 @@ def test_discard_matches_measure_then_drop():
             world.check_partition()
 
 
-@pytest.mark.parametrize("measure", ["measure_computational", "measure_bell"])
+@pytest.mark.parametrize("measure", ["measure_computational", "measure_bell", "measure_swap"])
 def test_zero_branch_is_refused(measure):
     world = World(seed=0)
     a, b = world.allocate_group([Owner.ALICE] * 2, [1, 0, 0, 0])
     world.group_of(a).amps = np.zeros(4, dtype=complex)  # a corrupt state
-    targets = [a] if measure == "measure_computational" else [a, b]
+    targets = {"measure_computational": [a], "measure_bell": [a, b], "measure_swap": [[a], [b]]}
     with pytest.raises(RuntimeError, match="zero branch"):
-        getattr(world, measure)(*targets)
+        getattr(world, measure)(*targets[measure])
 
 
 def test_bell_measurement_needs_distinct_qubits():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcheque.sim import Owner, World, haar_random_qubit
+from qcheque.sim import HADAMARD, Owner, World, haar_random_qubit
 from qcheque.stats import binomial_sigma, within_sigma
 from qcheque.swaptest import swap_test
 
@@ -46,7 +46,7 @@ def test_pass_rate_tracks_overlap():
 
 def test_multi_qubit_registers_compare_joint_overlap():
     """Product registers with per-qubit overlaps d1, d2 pass with
-    (1 + (d1*d2)^2) / 2; one shared ancilla drives both Fredkins."""
+    (1 + (d1*d2)^2) / 2: one test compares the joint states."""
     world = World(seed=4)
     trials = 8_000
     passes = 0
@@ -67,7 +67,7 @@ def test_passing_identical_inputs_leaves_them_usable():
     a = world.allocate(Owner.ALICE, amps)
     b = world.allocate(Owner.BANK, amps)
     outcome = swap_test(world, [a], [b])
-    assert outcome.passed and outcome.ancilla_bit == 0
+    assert outcome.passed
     assert a in world and b in world
     world.check_partition()
     # a second test on the same pair still passes
@@ -105,3 +105,59 @@ def test_mixed_state_pass_rate_uses_density_overlap():
         for q in (a, partner, b):
             world.discard(q)
     assert within_sigma(passes / trials, 0.75, binomial_sigma(0.75, trials))
+
+
+def _spread_registers(seed, width):
+    """Two width-qubit registers spread over random entangled groups of one
+    to three qubits that also hold three spectators, plus a twin made by
+    snapshot."""
+    rng = np.random.default_rng(seed)
+    world = World(seed=seed)
+    qubits = []
+    left = 2 * width + 3
+    while left:
+        k = int(rng.integers(1, min(3, left) + 1))
+        amps = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
+        qubits += world.allocate_group([Owner.ALICE] * k, amps / np.linalg.norm(amps))
+        left -= k
+    qubits = [qubits[i] for i in rng.permutation(len(qubits))]
+    return world, World.from_json(world.to_json()), qubits[:width], qubits[width:2 * width]
+
+
+def _fredkin_swap_test(world, register_a, register_b):
+    """The ancilla circuit that `World.measure_swap` replaces."""
+    ancilla = world.allocate(Owner.BANK, np.array([1.0, 1.0]) / np.sqrt(2.0))
+    for qa, qb in zip(register_a, register_b):
+        world.apply_cswap(ancilla, qa, qb)
+    world.apply_gate(HADAMARD, [ancilla])
+    bit = world.measure_computational(ancilla)
+    world.discard(ancilla)
+    return bit == 0
+
+
+def _groups_by_qids(world):
+    """Every group's amplitude tensor, axes in ascending qubit id, keyed
+    by the group's qubit ids."""
+    groups = {}
+    for g in world.to_json()["groups"]:
+        qids = [qid for qid, _ in g["qubits"]]
+        amps = np.array([complex(re, im) for re, im in g["amplitudes"]])
+        groups[frozenset(qids)] = amps.reshape((2,) * len(qids)).transpose(np.argsort(qids))
+    return groups
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_projective_swap_test_matches_fredkin_circuit(width):
+    verdicts = set()
+    for seed in range(20):
+        world, twin, a, b = _spread_registers(seed, width)
+        passed = swap_test(world, a, b).passed
+        assert passed == _fredkin_swap_test(twin, a, b)
+        verdicts.add(passed)
+        assert world.rng.bit_generator.state == twin.rng.bit_generator.state
+        mine, theirs = _groups_by_qids(world), _groups_by_qids(twin)
+        assert mine.keys() == theirs.keys()
+        for qids, amps in mine.items():
+            assert np.max(np.abs(amps - theirs[qids])) < 1e-12
+        world.check_partition()
+    assert verdicts == {True, False}
