@@ -415,13 +415,12 @@ def _clone_pass_probabilities(params, seed, amount_units):
     group.
     """
     ceiling = World(seed=0).max_group_qubits
-    joint = 4 * params.auth_qubits + 1
+    joint = 4 * params.auth_qubits
     if joint > ceiling:
         raise ValueError(
             f"the swap test over a cloned authentication register entangles "
-            f"{joint} qubits (4 per register qubit plus the ancilla), above "
-            f"the {ceiling}-qubit group ceiling; use auth_qubits <= "
-            f"{(ceiling - 1) // 4}"
+            f"{joint} qubits (4 per register qubit), above the {ceiling}-qubit "
+            f"group ceiling; use auth_qubits <= {ceiling // 4}"
         )
     world = World(seed=[seed, _ORACLE_LANE])
     bank = Bank()

@@ -62,11 +62,7 @@ class BitString:
 
     def to_bytes(self) -> bytes:
         """Pack into bytes, zero-padded at the tail to a byte boundary."""
-        out = bytearray((len(self.bits) + 7) // 8)
-        for i, b in enumerate(self.bits):
-            if b:
-                out[i // 8] |= 1 << (7 - i % 8)
-        return bytes(out)
+        return np.packbits(np.frombuffer(bytes(self.bits), dtype=np.uint8)).tobytes()
 
     def flip(self, index: int) -> "BitString":
         """Return a copy with one bit inverted (handy in tests)."""

@@ -6,6 +6,12 @@ small registers stays cheap: cost scales with the largest entangled group,
 not with the total qubit count.  Multi-qubit operations merge groups on
 demand.
 
+Gates and merges run one code path at every group size: a gate moves its
+target axes to the front of the group tensor with one transpose, applies
+its matrix as one product and transposes back; a merge is the outer
+product of the two amplitude vectors.  Each distinct gate matrix is
+checked for unitarity once and kept read-only in a bounded memo.
+
 Every measurement is one collapse kernel, ``World._measure``, run with a
 basis and a choice of what happens to the measured qubits.  Computational
 (Z) and Hadamard (X) measurement keep the qubit as a fresh singleton in
@@ -176,14 +182,32 @@ def _as_state_vector(amplitudes, dim: int) -> np.ndarray:
     return vec / _check_state_vector(vec, dim)
 
 
-def _check_unitary(matrix: np.ndarray) -> np.ndarray:
+def _check_unitary(matrix) -> np.ndarray:
+    """A read-only copy of `matrix`, after checking that it is unitary.
+
+    Each distinct matrix (shape and bytes) is checked once and its copy
+    kept in a bounded memo; a refusal is never kept, so a non-unitary
+    matrix raises on every call.
+    """
     gate = np.asarray(matrix, dtype=complex)
     if gate.ndim != 2 or gate.shape[0] != gate.shape[1]:
         raise ValueError("gate must be a square matrix")
-    dev = np.max(np.abs(gate @ gate.conj().T - np.eye(gate.shape[0])))
-    if dev > _UNITARY_TOL:
+    return _validated_gate(gate.shape, gate.tobytes())
+
+
+@functools.lru_cache(maxsize=256)
+def _validated_gate(shape: tuple, raw: bytes) -> np.ndarray:
+    gate = np.frombuffer(raw, dtype=complex).reshape(shape)
+    dev = np.max(np.abs(gate @ gate.conj().T - np.eye(shape[0])))
+    if not dev <= _UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
     return gate
+
+
+def _front(positions: list[int], n: int) -> list[int]:
+    """The axis permutation that moves `positions`, in order, to the front
+    of an n-axis tensor and keeps the other axes in their order."""
+    return positions + [i for i in range(n) if i not in positions]
 
 
 class World:
@@ -300,7 +324,7 @@ class World:
                 f"merging would create a {total}-qubit group, "
                 f"over the ceiling of {self.max_group_qubits}"
             )
-        merged = StateGroup(g1.qubits + g2.qubits, np.kron(g1.amps, g2.amps))
+        merged = StateGroup(g1.qubits + g2.qubits, np.multiply.outer(g1.amps, g2.amps).reshape(-1))
         self._groups.remove(g1)
         self._groups.remove(g2)
         self._groups.append(merged)
@@ -310,12 +334,12 @@ class World:
 
     def _apply_unitary(self, group: StateGroup, gate: np.ndarray, positions: list[int]) -> None:
         n = group.n_qubits
-        k = len(positions)
-        psi = group.amps.reshape((2,) * n)
-        gate_t = gate.reshape((2,) * (2 * k))
-        psi = np.tensordot(gate_t, psi, axes=(list(range(k, 2 * k)), positions))
-        psi = np.moveaxis(psi, list(range(k)), positions)
-        group.amps = np.ascontiguousarray(psi).reshape(-1)
+        perm = _front(positions, n)
+        inverse = [0] * n
+        for i, axis in enumerate(perm):
+            inverse[axis] = i
+        psi = group.amps.reshape((2,) * n).transpose(perm).reshape(gate.shape[1], -1)
+        group.amps = (gate @ psi).reshape((2,) * n).transpose(inverse).reshape(-1)
 
     # ------------------------------------------------------------------
     # measurement
@@ -407,7 +431,7 @@ class World:
         group = self._merged_group_for(targets)
         k = len(targets)
         positions = [group.position(t) for t in targets]
-        psi = np.moveaxis(group.amps.reshape((2,) * group.n_qubits), positions, range(k))
+        psi = group.amps.reshape((2,) * group.n_qubits).transpose(_front(positions, group.n_qubits))
         u = self.rng.random()
         acc = 0.0
         for label, state, terms in basis:

@@ -13,6 +13,7 @@ import pytest
 
 from qcheque.adversary import (
     STRATEGIES,
+    _clone_pass_probabilities,
     clone_qubit,
     local_tamper,
     run_attack,
@@ -143,9 +144,17 @@ def test_clone_double_spend_matches_analytics():
 
 
 def test_clone_respects_group_ceiling():
-    big = SchemeParams(ghz_triples=2, auth_qubits=6, key_bits=64, serial_bits=64)
-    with pytest.raises(ValueError):
-        run_attack("clone-double-spend", big, trials=1, seed=0)
+    # The cloned authentication swap test entangles 4 qubits per register
+    # qubit: 28 at auth_qubits=7 is refused, 24 at 6 fits the ceiling.
+    too_big = SchemeParams(ghz_triples=2, auth_qubits=7, key_bits=64, serial_bits=64)
+    with pytest.raises(ValueError, match="28 qubits"):
+        run_attack("clone-double-spend", too_big, trials=1, seed=0)
+    # Only the oracle runs here: it handles one clone at a time, so no
+    # 24-qubit group is built.
+    at_ceiling = SchemeParams(ghz_triples=2, auth_qubits=6, key_bits=64, serial_bits=64)
+    amount_probs, auth_prob = _clone_pass_probabilities(at_ceiling, 0, 42)
+    assert amount_probs == pytest.approx([11.0 / 12.0] * 2, abs=1e-9)
+    assert auth_prob == pytest.approx(0.5 * (1.0 + (5.0 / 6.0) ** 6), abs=1e-9)
 
 
 def test_tamper_amount_matches_analytics():

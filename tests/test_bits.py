@@ -40,6 +40,18 @@ def test_to_bytes_pads_tail_with_zeros():
     assert BitString((1, 1, 1, 1)).to_bytes() == b"\xf0"
 
 
+def test_to_bytes_matches_bitwise_packing():
+    # the per-bit loop it replaced, byte for byte
+    rng = np.random.default_rng(17)
+    for n in range(1, 301):
+        bits = BitString.random(rng, n)
+        expected = bytearray((n + 7) // 8)
+        for i, b in enumerate(bits.bits):
+            if b:
+                expected[i // 8] |= 1 << (7 - i % 8)
+        assert bits.to_bytes() == bytes(expected)
+
+
 def test_flip_changes_exactly_one_bit():
     b = BitString((0, 0, 0, 0))
     flipped = b.flip(2)

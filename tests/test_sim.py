@@ -1,9 +1,13 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
 from qcheque.sim import (
+    _BELL_BASIS,
+    _X_BASIS,
+    _Z_BASIS,
     BELL_STATES,
     HADAMARD,
     ID2,
@@ -13,6 +17,8 @@ from qcheque.sim import (
     HadamardOutcome,
     Owner,
     World,
+    _check_unitary,
+    _validated_gate,
     haar_random_qubit,
     haar_random_unitary,
 )
@@ -117,10 +123,46 @@ def test_double_z_is_identity():
 
 
 def test_non_unitary_matrix_rejected():
+    # on every call: a refusal is never memoised
     world = World(seed=0)
     q = world.allocate(Owner.ALICE)
+    _validated_gate.cache_clear()
+    for bad in (np.array([[1, 0], [0, 2]], dtype=complex), np.full((2, 2), np.nan)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not unitary"):
+                world.apply_gate(bad, [q])
+    assert _validated_gate.cache_info().currsize == 0
+
+
+def test_gate_mutated_after_use_is_checked_again():
+    world = World(seed=0)
+    q = world.allocate(Owner.ALICE)
+    gate = PAULI_X.copy()
+    world.apply_gate(gate, [q])
+    gate[1, 1] = 2.0  # the caller's array, changed in place
+    with pytest.raises(ValueError, match="not unitary"):
+        world.apply_gate(gate, [q])
+    assert world.measure_computational(q) == 1
+
+
+def test_checked_gate_is_a_read_only_private_copy():
+    gate = HADAMARD.copy()
+    checked = _check_unitary(gate)
+    assert not np.shares_memory(checked, gate)
     with pytest.raises(ValueError):
-        world.apply_gate(np.array([[1, 0], [0, 2]], dtype=complex), [q])
+        checked[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        checked.flags.writeable = True
+    assert _check_unitary(gate) is checked
+    assert np.array_equal(checked, HADAMARD)
+
+
+def test_unitarity_memo_is_bounded():
+    rng = np.random.default_rng(5)
+    limit = _validated_gate.cache_info().maxsize
+    for _ in range(limit + 10):
+        _check_unitary(haar_random_unitary(rng, 2))
+    assert _validated_gate.cache_info().currsize == limit
 
 
 def test_gate_on_retired_handle_rejected():
@@ -545,3 +587,94 @@ def test_identity_gate_exists_and_does_nothing():
     q = world.allocate(Owner.ALICE, (0.6, 0.8))
     world.apply_gate(ID2, [q])
     assert overlap_mod(world.state_of([q]), [0.6, 0.8]) == pytest.approx(1.0)
+
+
+# ----------------------------------------------------------------------
+# the kernels against the tensordot, kron and moveaxis code they replaced
+# ----------------------------------------------------------------------
+
+
+def _oracle_apply(amps, gate, positions):
+    n = amps.size.bit_length() - 1
+    k = len(positions)
+    psi = np.tensordot(gate.reshape((2,) * (2 * k)), amps.reshape((2,) * n),
+                       axes=(list(range(k, 2 * k)), positions))
+    return np.ascontiguousarray(np.moveaxis(psi, list(range(k)), positions)).reshape(-1)
+
+
+def _oracle_collapse(amps, positions, basis, u):
+    n = amps.size.bit_length() - 1
+    psi = np.moveaxis(amps.reshape((2,) * n), positions, range(len(positions)))
+    acc = 0.0
+    for label, _, terms in basis:
+        kept = functools.reduce(np.add, [amp * psi[index] for index, amp in terms]).reshape(-1)
+        p = float(np.vdot(kept, kept).real)
+        acc += p
+        if u < acc:
+            break
+    return label, kept / np.sqrt(p)
+
+
+def _random_group(world, rng, n):
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    qs = world.allocate_group([Owner.ALICE] * n, amps / np.linalg.norm(amps))
+    return qs, world.group_of(qs[0]).amps.copy()
+
+
+def _target_lists(n):
+    singles = [[i] for i in range(n)]
+    pairs = [[i, j] for i in range(n) for j in range(n) if i != j]
+    return singles, pairs
+
+
+def test_gates_match_tensordot_oracle():
+    # every target position and order, groups of 1-6 qubits
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for n in range(1, 7):
+            world = World(seed=seed)
+            qs, expected = _random_group(world, rng, n)
+            singles, pairs = _target_lists(n)
+            for positions in singles + pairs:
+                gate = haar_random_unitary(rng, 2 ** len(positions))
+                world.apply_gate(gate, [qs[i] for i in positions])
+                expected = _oracle_apply(expected, gate, positions)
+                got = world.group_of(qs[0]).amps
+                assert world.group_of(qs[0]).qubits == qs
+                assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_merges_match_kron_bit_for_bit():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for n in range(2, 7):
+            for split in range(1, n):
+                world = World(seed=seed)
+                left, a = _random_group(world, rng, split)
+                right, b = _random_group(world, rng, n - split)
+                merged = world._merge(world.group_of(left[0]), world.group_of(right[0]))
+                assert merged.qubits == left + right
+                assert np.array_equal(merged.amps, np.kron(a, b))
+                world.check_partition()
+
+
+@pytest.mark.parametrize("kind", ["computational", "hadamard", "bell"])
+def test_measurements_match_moveaxis_oracle(kind):
+    basis = {"computational": _Z_BASIS, "hadamard": _X_BASIS, "bell": _BELL_BASIS}[kind]
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for n in range(1, 7):
+            singles, pairs = _target_lists(n)
+            for positions in pairs if kind == "bell" else singles:
+                world = World(seed=seed)
+                qs, amps = _random_group(world, rng, n)
+                targets = [qs[i] for i in positions]
+                label = getattr(world, f"measure_{kind}")(*targets)
+                expected, residual = _oracle_collapse(
+                    amps, positions, basis, np.random.default_rng(seed).random())
+                assert label == expected
+                assert_one_draw(world, seed)
+                rest = [q for q in qs if q not in targets]
+                if rest:
+                    assert world.group_of(rest[0]).qubits == rest
+                    assert np.max(np.abs(world.group_of(rest[0]).amps - residual)) < 1e-12
