@@ -213,6 +213,26 @@ def test_group_ceiling_enforced_on_merge():
         world.apply_gate(_cnot(), [qs[1], qs[2]])
 
 
+def test_refused_swap_test_leaves_world_unchanged():
+    rng = np.random.default_rng(5)
+    world = World(seed=5, max_group_qubits=4)
+    qs = [world.allocate(Owner.ALICE, haar_random_qubit(rng)) for _ in range(6)]
+    before = world.to_json()
+    with pytest.raises(ValueError, match="6-qubit group"):
+        world.measure_swap(qs[:3], qs[3:])
+    assert world.to_json() == before
+
+
+def test_refused_cswap_leaves_world_unchanged():
+    rng = np.random.default_rng(6)
+    world = World(seed=6, max_group_qubits=2)
+    qs = [world.allocate(Owner.ALICE, haar_random_qubit(rng)) for _ in range(3)]
+    before = world.to_json()
+    with pytest.raises(ValueError, match="3-qubit group"):
+        world.apply_cswap(*qs)
+    assert world.to_json() == before
+
+
 def test_cswap_control_off_and_on():
     world = World(seed=0)
     c = world.allocate(Owner.BANK)
@@ -656,6 +676,24 @@ def test_merges_match_kron_bit_for_bit():
                 assert merged.qubits == left + right
                 assert np.array_equal(merged.amps, np.kron(a, b))
                 world.check_partition()
+
+
+def test_k_way_merge_matches_kron_fold():
+    # 3-6 groups of 1-4 qubits, beside a group left out of the merge, against the
+    # pairwise left fold of np.kron that the balanced product replaced
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        world = World(seed=seed)
+        bystander, _ = _random_group(world, rng, 2)
+        parts = [_random_group(world, rng, int(rng.integers(1, 5)))
+                 for _ in range(int(rng.integers(3, 7)))]
+        groups = [world.group_of(qs[0]) for qs, _ in parts]
+        merged = world._merge(*groups)
+        assert merged.qubits == [q for qs, _ in parts for q in qs]
+        assert np.max(np.abs(merged.amps - functools.reduce(np.kron, [a for _, a in parts]))) < 1e-12
+        assert world._groups[-1] is merged
+        assert world.group_of(bystander[0]) in world._groups
+        world.check_partition()
 
 
 @pytest.mark.parametrize("kind", ["computational", "hadamard", "bell"])
