@@ -9,6 +9,7 @@ distinct tuples can never produce the same byte stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,10 @@ class BitString:
 
     def to_bytes(self) -> bytes:
         """Pack into bytes, zero-padded at the tail to a byte boundary."""
+        return self._packed
+
+    @cached_property  # kept out of equality and hashing, which see only `bits`
+    def _packed(self) -> bytes:
         return np.packbits(np.frombuffer(bytes(self.bits), dtype=np.uint8)).tobytes()
 
     def flip(self, index: int) -> "BitString":

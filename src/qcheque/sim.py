@@ -36,6 +36,11 @@ Conventions used throughout the package:
   seed and operation order reproduce runs bit for bit.
 * States are compared up to global phase everywhere.
 
+Each group's amplitude array is its own, and the collapse kernels write
+their results into it in place: ``_measure`` and ``measure_swap`` build
+a branch in a per-thread scratch buffer that never escapes the call,
+then write it, normalised, into the front of the group's array.
+
 ``reduced_density`` and ``state_of`` are introspection tools for tests
 and analysis.  Protocol decision paths must only interact with
 the world through gates and measurements.
@@ -44,6 +49,7 @@ the world through gates and measurements.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -147,7 +153,8 @@ _UNITARY_TOL = 1e-9
 
 class StateGroup:
     """One connected component of the world: an ordered qubit list plus
-    a dense amplitude vector of length 2**len(qubits)."""
+    a dense amplitude vector of length 2**len(qubits).  `amps` may be a
+    view of the front of a wider buffer the group held before."""
 
     __slots__ = ("qubits", "amps")
 
@@ -213,6 +220,18 @@ def _product(vectors: list[np.ndarray]) -> np.ndarray:
         return vectors[0]
     half = len(vectors) // 2
     return np.multiply.outer(_product(vectors[:half]), _product(vectors[half:])).reshape(-1)
+
+
+_SCRATCH = threading.local()
+
+
+def _scratch(size: int) -> np.ndarray:
+    """The first `size` entries of this thread's complex scratch buffer,
+    grown to the widest branch a collapse has built on the thread."""
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH.buf = np.empty(size, dtype=complex)
+    return buf[:size]
 
 
 def _front(positions: list[int], n: int) -> list[int]:
@@ -412,7 +431,8 @@ class World:
         psi = group.amps.reshape((2,) * n)
         swapped = psi.transpose(axes)
         u = self.rng.random()
-        kept = psi + swapped
+        kept = _scratch(psi.size).reshape(psi.shape)
+        np.add(psi, swapped, out=kept)
         p = float(np.vdot(kept, kept).real) / 4.0
         passed = u < p
         if not passed:
@@ -421,8 +441,7 @@ class World:
         norm = np.sqrt(p)
         if norm < 1e-12:
             raise RuntimeError("collapsed onto a zero branch; numerical state is corrupt")
-        kept *= 1.0 / (2.0 * norm)
-        group.amps = kept.reshape(-1)
+        np.multiply(kept, 1.0 / (2.0 * norm), out=psi)
         # The ancilla circuit drew a second uniform when it discarded the
         # ancilla; drawing it here keeps fixed-seed reports byte-identical.
         self.rng.random()
@@ -433,9 +452,10 @@ class World:
 
         One uniform is drawn and the branches are projected out in basis
         order until their running probability exceeds it, so later
-        branches cost nothing.  The normalised residual stays in the same
-        group object; the targets are then retired, or re-adopted as a
-        fresh group holding the chosen basis state.  Returns the label.
+        branches cost nothing.  The normalised residual is written into
+        the front of the group's own buffer; the targets are then retired,
+        or re-adopted as a fresh group holding the chosen basis state.
+        Returns the label.
         """
         if len(set(targets)) != len(targets):
             raise ValueError("measured qubits must be distinct")
@@ -443,10 +463,16 @@ class World:
         k = len(targets)
         positions = [group.position(t) for t in targets]
         psi = group.amps.reshape((2,) * group.n_qubits).transpose(_front(positions, group.n_qubits))
+        size = group.amps.size >> k
+        kept = _scratch(size)
+        branch = kept.reshape((2,) * (group.n_qubits - k))
         u = self.rng.random()
         acc = 0.0
         for label, state, terms in basis:
-            kept = functools.reduce(np.add, [amp * psi[index] for index, amp in terms]).reshape(-1)
+            (index, amp), *rest = terms
+            np.multiply(amp, psi[index], out=branch)
+            for index, amp in rest:
+                branch += amp * psi[index]
             p = float(np.vdot(kept, kept).real)
             acc += p
             if u < acc:
@@ -456,8 +482,8 @@ class World:
             raise RuntimeError("collapsed onto a zero branch; numerical state is corrupt")
         if k < group.n_qubits:
             group.qubits = [q for q in group.qubits if q not in targets]
-            kept *= 1.0 / norm  # a real scale; a complex division costs 4-7x more
-            group.amps = kept
+            # a real scale; a complex division costs 4-7x more
+            group.amps = np.multiply(kept, 1.0 / norm, out=group.amps[:size])
         else:
             self._groups.remove(group)
         if retire:
@@ -532,6 +558,9 @@ class World:
         """Assert the group partition invariant; raises on violation."""
         seen: set[QubitHandle] = set()
         for g in self._groups:
+            if not 1 <= g.n_qubits <= self.max_group_qubits:
+                raise AssertionError(f"group of {g.n_qubits} qubits is outside "
+                                     f"[1, max_group_qubits={self.max_group_qubits}]")
             if len(g.amps) != 2**g.n_qubits:
                 raise AssertionError("group amplitude length mismatch")
             if abs(g.norm() - 1.0) > 1e-6:
@@ -571,10 +600,10 @@ class World:
     def from_json(cls, doc: dict) -> "World":
         """Rebuild a world from `to_json` output.
 
-        Every group must hold finite amplitudes of unit norm, and every
-        qubit id must be unique and below ``next_qid``.  Amplitudes are
-        loaded as stored, not renormalised, so a load and a save give
-        back the same document.
+        Every group must hold one to ``max_group_qubits`` qubits and
+        finite amplitudes of unit norm, and every qubit id must be unique
+        and below ``next_qid``.  Amplitudes are loaded as stored, not
+        renormalised, so a load and a save give back the same document.
         """
         if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
             raise ValueError("not a world snapshot document")
@@ -592,6 +621,9 @@ class World:
         qids = set()
         for entry in doc["groups"]:
             handles = [QubitHandle(int(qid), Owner(owner)) for qid, owner in entry["qubits"]]
+            if not 1 <= len(handles) <= world.max_group_qubits:
+                raise ValueError(f"snapshot group of {len(handles)} qubits is outside "
+                                 f"[1, max_group_qubits={world.max_group_qubits}]")
             amps = np.array([complex(re, im) for re, im in entry["amplitudes"]], dtype=complex)
             _check_state_vector(amps, 2 ** len(handles))
             group = StateGroup(handles, amps)

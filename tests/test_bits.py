@@ -97,3 +97,20 @@ def test_frame_fields_injective_over_random_splits():
             assert seen[framed] == parts
         seen[framed] = parts
     assert len(seen) > 250
+
+
+def test_cached_packing_matches_packbits():
+    rng = np.random.default_rng(41)
+    for n in range(1, 41):
+        bits = BitString.random(rng, n)
+        expected = np.packbits(np.array(bits.bits, dtype=np.uint8)).tobytes()
+        assert bits.to_bytes() == expected
+        assert bits.to_bytes() is bits.to_bytes()
+
+
+def test_equality_and_hash_ignore_the_packing_cache():
+    packed, fresh = BitString((1, 0, 1)), BitString((1, 0, 1))
+    packed.to_bytes()
+    assert packed == fresh and hash(packed) == hash(fresh)
+    assert packed != BitString((1, 0, 1, 0))
+    assert len({packed, fresh}) == 1

@@ -159,3 +159,24 @@ def test_selftest_passes():
     assert proc.returncode == 0, proc.stdout
     doc = json.loads(proc.stdout)
     assert all(check["passed"] for check in doc["checks"])
+
+
+def _empty_group(world):
+    world["groups"].append({"qubits": [], "amplitudes": [[1.0, 0.0]]})
+
+
+def _ceiling_below_widest_group(world):
+    world["max_group_qubits"] = max(len(g["qubits"]) for g in world["groups"]) - 1
+
+
+@pytest.mark.parametrize("corrupt", [_empty_group, _ceiling_below_widest_group])
+def test_snapshot_with_invalid_group_is_a_file_error(corrupt, tmp_path):
+    scenario = tmp_path / "scenario.json"
+    proc = run_cli("snapshot", *FAST, "--seed", "9", "--snapshot", str(scenario))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(scenario.read_text())
+    corrupt(doc["world"])
+    scenario.write_text(json.dumps(doc))
+    proc = run_cli("restore", "--snapshot", str(scenario))
+    assert proc.returncode == 3, proc.stderr
+    assert "qubits is outside" in proc.stderr

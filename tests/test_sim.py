@@ -1,5 +1,6 @@
 import functools
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qcheque.sim import (
     BellOutcome,
     HadamardOutcome,
     Owner,
+    StateGroup,
     World,
     _check_unitary,
     _validated_gate,
@@ -365,14 +367,19 @@ def test_discard_matches_measure_then_drop():
             world.check_partition()
 
 
-@pytest.mark.parametrize("measure", ["measure_computational", "measure_bell", "measure_swap"])
+@pytest.mark.parametrize("measure", ["measure_computational", "measure_hadamard", "measure_bell",
+                                     "discard", "measure_swap"])
 def test_zero_branch_is_refused(measure):
     world = World(seed=0)
-    a, b = world.allocate_group([Owner.ALICE] * 2, [1, 0, 0, 0])
-    world.group_of(a).amps = np.zeros(4, dtype=complex)  # a corrupt state
-    targets = {"measure_computational": [a], "measure_bell": [a, b], "measure_swap": [[a], [b]]}
+    a, b, c = world.allocate_group([Owner.ALICE] * 3, [1, 0, 0, 0, 0, 0, 0, 0])
+    group = world.group_of(a)
+    group.amps = np.zeros(8, dtype=complex)  # a corrupt state
+    targets = {"measure_bell": [a, b], "measure_swap": [[a], [b]]}.get(measure, [a])
     with pytest.raises(RuntimeError, match="zero branch"):
-        getattr(world, measure)(*targets[measure])
+        getattr(world, measure)(*targets)
+    # refused before anything is written: a scale by 1/0 would leave NaNs
+    assert world.group_of(c) is group and group.qubits == [a, b, c]
+    assert np.array_equal(group.amps, np.zeros(8))
 
 
 def test_bell_measurement_needs_distinct_qubits():
@@ -569,19 +576,40 @@ def _shared_qid(doc):
     doc["groups"][1]["qubits"][0][0] = doc["groups"][0]["qubits"][0][0]
 
 
+def _empty_group(doc):
+    doc["groups"].append({"qubits": [], "amplitudes": [[1.0, 0.0]]})
+
+
+def _ceiling_below_group(doc):
+    doc["max_group_qubits"] = max(len(g["qubits"]) for g in doc["groups"]) - 1
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [(_nan_amplitude, "finite"), (_break_norm, "norm"),
-     (_qid_at_next_qid, "next_qid"), (_shared_qid, "twice")],
+     (_qid_at_next_qid, "next_qid"), (_shared_qid, "twice"),
+     (_empty_group, "0 qubits is outside"), (_ceiling_below_group, "2 qubits is outside")],
 )
 def test_snapshot_rejects_invalid_worlds(corrupt, message):
     world = World(seed=53)
     world.allocate(Owner.ALICE, (0.6, 0.8))
-    world.allocate(Owner.BANK)
+    world.allocate_group([Owner.BANK] * 2, [0, 1, 0, 0])
     doc = world.to_json()
     corrupt(doc)
     with pytest.raises(ValueError, match=message):
         World.from_json(doc)
+
+
+@pytest.mark.parametrize("case", ["empty group", "group over ceiling"])
+def test_partition_check_flags_group_size_outside_ceiling(case):
+    world = World(seed=53)
+    world.allocate_group([Owner.ALICE] * 2, [1, 0, 0, 0])
+    if case == "empty group":
+        world._groups.append(StateGroup([], np.ones(1, dtype=complex)))
+    else:
+        world.max_group_qubits = 1
+    with pytest.raises(AssertionError, match="qubits is outside"):
+        world.check_partition()
 
 
 # ----------------------------------------------------------------------
@@ -632,7 +660,8 @@ def _oracle_collapse(amps, positions, basis, u):
         acc += p
         if u < acc:
             break
-    return label, kept / np.sqrt(p)
+    kept *= 1.0 / np.sqrt(p)
+    return label, kept
 
 
 def _random_group(world, rng, n):
@@ -716,3 +745,118 @@ def test_measurements_match_moveaxis_oracle(kind):
                 if rest:
                     assert world.group_of(rest[0]).qubits == rest
                     assert np.max(np.abs(world.group_of(rest[0]).amps - residual)) < 1e-12
+
+
+# ----------------------------------------------------------------------
+# collapse kernels: branches built in a per-thread scratch, residuals
+# written back into the group's own buffer
+# ----------------------------------------------------------------------
+
+
+def _fresh_swap(amps, pairs, u):
+    """The swap test as fresh arrays, normalised by a real reciprocal."""
+    n = amps.size.bit_length() - 1
+    axes = list(range(n))
+    for i, j in pairs:
+        axes[i], axes[j] = j, i
+    psi = amps.reshape((2,) * n)
+    swapped = psi.transpose(axes)
+    kept = psi + swapped
+    p = float(np.vdot(kept, kept).real) / 4.0
+    passed = u < p
+    if not passed:
+        kept = psi - swapped
+        p = float(np.vdot(kept, kept).real) / 4.0
+    kept *= 1.0 / (2.0 * np.sqrt(p))
+    return passed, kept.reshape(-1)
+
+
+_COLLAPSES = {"computational": (1, _Z_BASIS), "hadamard": (1, _X_BASIS), "bell": (2, _BELL_BASIS)}
+
+
+def _collapse_both(world, reference, qs, expected, kind, positions):
+    """Run one collapse on the world and as fresh arrays; return the
+    live qubits left in the group and their expected amplitudes."""
+    targets = [qs[i] for i in positions]
+    rest = [q for q in qs if q not in targets]
+    if kind == "swap":
+        w = len(positions) // 2
+        passed, expected = _fresh_swap(
+            expected, list(zip(positions[:w], positions[w:])), reference.random())
+        reference.random()
+        assert world.measure_swap(targets[:w], targets[w:]) == passed
+        return qs, expected
+    label, residual = _oracle_collapse(expected, positions, _COLLAPSES[kind][1], reference.random())
+    assert getattr(world, f"measure_{kind}")(*targets) == label
+    return rest, residual
+
+
+def test_collapses_match_fresh_arrays_bit_for_bit():
+    # every kind of collapse on groups of 1-12 qubits, then a chain of
+    # discards and narrow swap tests on what is left, so residuals are
+    # written into the front of buffers that held wider states
+    kinds = [(kind, width) for kind, (width, _) in _COLLAPSES.items()]
+    kinds += [("swap", 2 * w) for w in range(1, 7)]
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for kind, width in kinds:
+            n = int(rng.integers(width, 13))
+            world, reference = World(seed=seed), np.random.default_rng(seed)
+            qs, expected = _random_group(world, rng, n)
+            positions = [int(i) for i in rng.permutation(n)[:width]]
+            qs, expected = _collapse_both(world, reference, qs, expected, kind, positions)
+            while len(qs) > 1:
+                qs, expected = _collapse_both(world, reference, qs, expected, "computational", [0])
+                if len(qs) >= 3:
+                    qs, expected = _collapse_both(world, reference, qs, expected, "swap", [1, 2])
+                if qs:
+                    assert world.group_of(qs[0]).qubits == qs
+                    assert np.array_equal(world.group_of(qs[0]).amps, expected)
+            assert world.rng.bit_generator.state == reference.bit_generator.state
+            world.check_partition()
+
+
+def _wide_program(seed):
+    """A world and a list of steps: swap tests of widths 1-6 and
+    collapses on a 12-qubit group, down to a few qubits."""
+    rng = np.random.default_rng(seed)
+    world = World(seed=seed)
+    qs, _ = _random_group(world, rng, 12)
+    steps = [lambda w=w: world.measure_swap(qs[:w], qs[w:2 * w]) for w in range(6, 0, -1)]
+    steps += [lambda q=q: world.discard(q) for q in qs[:4]]
+    steps += [lambda: world.measure_bell(qs[4], qs[5]), lambda: world.measure_hadamard(qs[6]),
+              lambda: world.measure_computational(qs[7])]
+    return world, steps
+
+
+def test_interleaved_worlds_match_separate_runs():
+    alone = []
+    for seed in (3, 4):
+        world, steps = _wide_program(seed)
+        alone.append(([step() for step in steps], world.to_json()))
+    (world_a, steps_a), (world_b, steps_b) = _wide_program(3), _wide_program(4)
+    outcomes_a, outcomes_b = [], []
+    for step_a, step_b in zip(steps_a, steps_b):
+        outcomes_a.append(step_a())
+        outcomes_b.append(step_b())
+    assert alone == [(outcomes_a, world_a.to_json()), (outcomes_b, world_b.to_json())]
+
+
+def test_threads_match_sequential_runs():
+    from qcheque.adversary import run_honest
+    from qcheque.protocol import SchemeParams
+
+    seeds = (11, 12)
+    sequential = [run_honest(SchemeParams(), trials=40, seed=seed).to_json() for seed in seeds]
+    threaded = [None, None]
+
+    def run(i):
+        threaded[i] = run_honest(SchemeParams(), trials=40, seed=seeds[i]).to_json()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert threaded == sequential
+
