@@ -106,14 +106,13 @@ _PREP_SECOND = _ry(math.acos(2.0 / math.sqrt(5.0)))
 
 @dataclass(frozen=True)
 class CloneResult:
-    """The three qubits a cloning run leaves behind.
+    """The two qubits a cloning run adds to the world.
 
-    `original` and `copy` are interchangeable clones; `machine` is the
-    work qubit that stays entangled with both and should be accounted
-    for (or discarded) by the caller.
+    `copy` and the cloned qubit itself are interchangeable clones;
+    `machine` is the work qubit that stays entangled with both and should
+    be accounted for (or discarded) by the caller.
     """
 
-    original: QubitHandle
     copy: QubitHandle
     machine: QubitHandle
 
@@ -133,7 +132,7 @@ def clone_qubit(world: World, q: QubitHandle) -> CloneResult:
     world.apply_gate(_CNOT, [q, machine])
     world.apply_gate(_CNOT, [copy, q])
     world.apply_gate(_CNOT, [machine, q])
-    return CloneResult(original=q, copy=copy, machine=machine)
+    return CloneResult(copy=copy, machine=machine)
 
 
 def local_tamper(world: World, cheque: QuantumCheque, indices=None) -> None:

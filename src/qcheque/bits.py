@@ -69,12 +69,6 @@ class BitString:
     def _packed(self) -> bytes:
         return np.packbits(np.frombuffer(bytes(self.bits), dtype=np.uint8)).tobytes()
 
-    def flip(self, index: int) -> "BitString":
-        """Return a copy with one bit inverted (handy in tests)."""
-        new = list(self.bits)
-        new[index] ^= 1
-        return BitString(tuple(new))
-
 
 def frame_fields(*fields: BitString) -> bytes:
     """Concatenate bit strings into one unambiguous byte stream.

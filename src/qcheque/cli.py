@@ -166,6 +166,7 @@ def cmd_snapshot(args) -> int:
 
 
 def _load_scenario(path: str) -> tuple[dict, World, Bank, QuantumCheque]:
+    """The scenario's config, world, bank and cheque, each validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -185,20 +186,21 @@ def _load_scenario(path: str) -> tuple[dict, World, Bank, QuantumCheque]:
             f"expected {SCENARIO_VERSION}"
         )
     try:
+        config = doc["config"]
         world = World.from_json(doc["world"])
         bank = Bank.from_json(doc["bank"])
         cheque = QuantumCheque.from_json(doc["cheque"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliFileError(f"{path}: invalid snapshot contents: {exc}") from exc
     world.check_partition()
-    return doc, world, bank, cheque
+    return config, world, bank, cheque
 
 
 def cmd_restore(args) -> int:
-    doc, world, bank, cheque = _load_scenario(args.snapshot)
+    config, world, bank, cheque = _load_scenario(args.snapshot)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dump(_scenario(doc["config"], world, bank, cheque)))
+            fh.write(_dump(_scenario(config, world, bank, cheque)))
     summary = {
         **_header("restore"),
         "snapshot_path": args.snapshot,
@@ -227,8 +229,7 @@ def _check_teleport_roundtrip() -> None:
     recover_qubit(world, triple.bank_qubit, triple.cheque_qubit)
     world.discard(triple.bank_qubit)
     target = prepare_amount_state(world, nonce, amount, 1)
-    outcome = swap_test(world, [triple.cheque_qubit], [target])
-    if not outcome.passed:
+    if not swap_test(world, [triple.cheque_qubit], [target]):
         raise AssertionError("recovered state failed its swap test")
     world.discard(triple.cheque_qubit)
     world.discard(target)
@@ -241,7 +242,7 @@ def _check_cloner_shrink() -> None:
     q = world.allocate(Owner.ALICE, amps)
     result = clone_qubit(world, q)
     want = (2.0 / 3.0) * np.outer(amps, amps.conj()) + (1.0 / 6.0) * np.eye(2)
-    for handle in (result.original, result.copy):
+    for handle in (q, result.copy):
         got = world.reduced_density([handle])
         if float(np.max(np.abs(got - want))) > 1e-9:
             raise AssertionError("clone is not the optimal shrunk state")

@@ -50,6 +50,8 @@ __all__ = [
 
 BANK_SNAPSHOT_FORMAT = "qcheque-bank"
 BANK_SNAPSHOT_VERSION = 2
+# Lamport preimage length; snapshots record it and refuse any other.
+SIGNATURE_BITS = 128
 
 
 class RejectReason(Enum):
@@ -225,7 +227,6 @@ class VerifyResult:
     accepted: bool
     reason: RejectReason
     amount_passes: tuple[bool, ...] = ()
-    failed_amount_indices: tuple[int, ...] = ()
     auth_passed: bool | None = None
 
 
@@ -251,9 +252,8 @@ def encode_amount(units: int) -> BitString:
 class Bank:
     """Account registry, spent ledger, vault custody and verification."""
 
-    def __init__(self, signature_bits: int = 128):
+    def __init__(self):
         self.scheme = LamportSignatureScheme()
-        self.signature_bits = signature_bits
         self._records: dict[str, BankRecord] = {}
         self.transcript: list[Message] = []
         self._session_counter = 0
@@ -273,12 +273,6 @@ class Bank:
         )
         seq_box[0] += 1
 
-    def messages_in_session(self, session: int, payload_type: str | None = None) -> list[Message]:
-        return [
-            m for m in self.transcript
-            if m.session == session and (payload_type is None or m.payload_type == payload_type)
-        ]
-
     # ------------------------------------------------------------------
     # account generation
     # ------------------------------------------------------------------
@@ -290,7 +284,7 @@ class Bank:
         while str(serial) in self._records:
             serial = BitString.random(world.rng, params.serial_bits)
         shared_key = BitString.random(world.rng, params.key_bits)
-        keypair = self.scheme.generate_keypair(self.signature_bits, world.rng)
+        keypair = self.scheme.generate_keypair(SIGNATURE_BITS, world.rng)
         triples = [prepare_ghz(world, i) for i in range(1, params.ghz_triples + 1)]
 
         record = BankRecord(
@@ -325,9 +319,6 @@ class Bank:
         """True when a cheque under this serial has been deposited."""
         record = self._records.get(str(serial))
         return bool(record and record.spent)
-
-    def record_for(self, serial: BitString) -> BankRecord | None:
-        return self._records.get(str(serial))
 
     # ------------------------------------------------------------------
     # verification
@@ -376,16 +367,15 @@ class Bank:
 
         # quantum phase: recover each amount state onto its cheque qubit
         for i, (bank_q, cheque_q) in enumerate(zip(record.bank_qubits, cheque.amount_qubits), start=1):
-            recovery = recover_qubit(world, bank_q, cheque_q)
+            outcome = recover_qubit(world, bank_q, cheque_q)
             self._log(session, seq, "main", "branch", "recovery-outcome",
-                      {"index": i, "outcome": recovery.outcome.value})
+                      {"index": i, "outcome": outcome.value})
             world.discard(bank_q)
 
         amount_passes = []
         for i, cheque_q in enumerate(cheque.amount_qubits, start=1):
             target = prepare_amount_state(world, cheque.nonce, cheque.amount, i, owner=Owner.BANK)
-            outcome = swap_test(world, [cheque_q], [target])
-            amount_passes.append(outcome.passed)
+            amount_passes.append(swap_test(world, [cheque_q], [target]))
             world.discard(target)
 
         id_bits = BitString.from_text(cheque.account_id)
@@ -393,7 +383,7 @@ class Bank:
             world, record.shared_key, id_bits, cheque.nonce, cheque.amount,
             params.auth_qubits, owner=Owner.BANK,
         )
-        auth_passed = swap_test(world, list(cheque.auth_qubits), auth_target).passed
+        auth_passed = swap_test(world, list(cheque.auth_qubits), auth_target)
         for q in auth_target:
             world.discard(q)
 
@@ -405,7 +395,6 @@ class Bank:
             reason = RejectReason.AMOUNT_STATE_FAIL
         else:
             reason = RejectReason.AUTH_STATE_FAIL
-        failed = tuple(i for i, ok in enumerate(amount_passes, start=1) if not ok)
 
         self._log(session, seq, "branch", "main", "verdict",
                   {"accepted": accepted, "reason": reason.value})
@@ -416,7 +405,6 @@ class Bank:
             accepted=accepted,
             reason=reason,
             amount_passes=tuple(amount_passes),
-            failed_amount_indices=failed if reason is RejectReason.AMOUNT_STATE_FAIL else (),
             auth_passed=auth_passed,
         )
 
@@ -471,7 +459,7 @@ class Bank:
             "format": BANK_SNAPSHOT_FORMAT,
             "version": BANK_SNAPSHOT_VERSION,
             "signature_scheme": self.scheme.identifier,
-            "signature_bits": self.signature_bits,
+            "signature_bits": SIGNATURE_BITS,
             "session_counter": self._session_counter,
             "records": records,
             "transcript": [
@@ -496,7 +484,12 @@ class Bank:
                 f"unsupported bank snapshot version {doc.get('version')!r}, "
                 f"expected {BANK_SNAPSHOT_VERSION}"
             )
-        bank = cls(signature_bits=int(doc["signature_bits"]))
+        if doc.get("signature_bits") != SIGNATURE_BITS:
+            raise ValueError(
+                f"snapshot signs with {doc.get('signature_bits')!r}-bit preimages, "
+                f"expected {SIGNATURE_BITS}"
+            )
+        bank = cls()
         if bank.scheme.identifier != doc.get("signature_scheme"):
             raise ValueError(
                 f"snapshot uses scheme {doc.get('signature_scheme')!r}, "

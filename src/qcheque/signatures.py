@@ -115,6 +115,8 @@ class LamportSignatureScheme:
         }
 
     def public_key_from_json(self, doc: dict) -> LamportPublicKey:
+        if not isinstance(doc, dict):
+            raise ValueError("public key is not a JSON object")
         if doc.get("scheme") != self.identifier:
             raise ValueError(f"public key scheme {doc.get('scheme')!r} is not {self.identifier!r}")
         entries = tuple((bytes.fromhex(a), bytes.fromhex(b)) for a, b in doc["entries"])

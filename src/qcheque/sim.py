@@ -41,9 +41,9 @@ their results into it in place: ``_measure`` and ``measure_swap`` build
 a branch in a per-thread scratch buffer that never escapes the call,
 then write it, normalised, into the front of the group's array.
 
-``reduced_density`` and ``state_of`` are introspection tools for tests
-and analysis.  Protocol decision paths must only interact with
-the world through gates and measurements.
+``reduced_density`` is an introspection tool for analysis: the clone
+oracle reads averaged states with it.  Protocol decision paths must only
+interact with the world through gates and measurements.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ __all__ = [
     "HADAMARD",
     "BELL_STATES",
     "haar_random_qubit",
-    "haar_random_unitary",
 ]
 
 SNAPSHOT_FORMAT = "qcheque-world"
@@ -306,10 +305,6 @@ class World:
     def qubit_count(self) -> int:
         return len(self._index)
 
-    def handles(self) -> list[QubitHandle]:
-        """All live handles, in group order."""
-        return [q for g in self._groups for q in g.qubits]
-
     # ------------------------------------------------------------------
     # unitary operations
     # ------------------------------------------------------------------
@@ -497,7 +492,7 @@ class World:
         return label
 
     # ------------------------------------------------------------------
-    # introspection (tests and analysis only)
+    # introspection (analysis only, never on a decision path)
     # ------------------------------------------------------------------
 
     def reduced_density(self, subset) -> np.ndarray:
@@ -507,34 +502,22 @@ class World:
             raise ValueError("subset handles must be distinct")
         if not subset:
             raise ValueError("subset must not be empty")
-        psi, joined = self._joint_state(subset)
+        groups = self._groups_for(subset)
+        joined = [q for g in groups for q in g.qubits]
         m = len(joined)
+        if m > self.max_group_qubits:
+            raise ValueError(
+                f"introspection across {m} qubits exceeds the ceiling of {self.max_group_qubits}"
+            )
         keep = [joined.index(q) for q in subset]
         traced = [i for i in range(m) if i not in keep]
-        psi_t = psi.reshape((2,) * m)
+        psi_t = _product([g.amps for g in groups]).reshape((2,) * m)
         rho = np.tensordot(psi_t, psi_t.conj(), axes=(traced, traced))
         kept_order = [q for q in joined if q in subset]
         perm = [kept_order.index(q) for q in subset]
         k = len(subset)
         rho = rho.transpose(perm + [k + p for p in perm])
         return rho.reshape(2**k, 2**k)
-
-    def state_of(self, register) -> np.ndarray:
-        """Pure state of a register, axes in register order.
-
-        The register must be unentangled with the rest of the world;
-        otherwise this raises.  Global phase is canonicalised so equal
-        registers compare equal.
-        """
-        rho = self.reduced_density(register)
-        purity = float(np.trace(rho @ rho).real)
-        if purity < 1.0 - _NORM_TOL:
-            raise ValueError(f"register is entangled with other qubits (purity {purity:.6f})")
-        vals, vecs = np.linalg.eigh(rho)
-        vec = vecs[:, int(np.argmax(vals))]
-        pivot = int(np.argmax(np.abs(vec)))
-        phase = vec[pivot] / abs(vec[pivot])
-        return vec / phase
 
     def _groups_for(self, handles) -> list[StateGroup]:
         groups: list[StateGroup] = []
@@ -543,16 +526,6 @@ class World:
             if g not in groups:
                 groups.append(g)
         return groups
-
-    def _joint_state(self, handles) -> tuple[np.ndarray, list[QubitHandle]]:
-        groups = self._groups_for(handles)
-        total = sum(g.n_qubits for g in groups)
-        if total > self.max_group_qubits:
-            raise ValueError(
-                f"introspection across {total} qubits exceeds the ceiling "
-                f"of {self.max_group_qubits}"
-            )
-        return _product([g.amps for g in groups]), [q for g in groups for q in g.qubits]
 
     def check_partition(self) -> None:
         """Assert the group partition invariant; raises on violation."""
@@ -614,6 +587,8 @@ class World:
             )
         world = cls(seed=0, max_group_qubits=int(doc["max_group_qubits"]))
         state = doc["rng"]
+        if not isinstance(state, dict):
+            raise ValueError("snapshot PRNG state is not a JSON object")
         if state.get("bit_generator") != world.rng.bit_generator.state["bit_generator"]:
             raise ValueError("snapshot was produced with a different PRNG")
         world.rng.bit_generator.state = state
@@ -650,9 +625,3 @@ def haar_random_qubit(rng: np.random.Generator) -> np.ndarray:
     vec = rng.normal(size=2) + 1j * rng.normal(size=2)
     return vec / np.linalg.norm(vec)
 
-
-def haar_random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -10,31 +10,23 @@ then read out in the X basis) performs, simulated by
 pure inputs always pass; states with inner product d pass with
 probability (1+d^2)/2; for mixed marginals the rate is
 (1 + Tr(rho_a rho_b))/2.  A pass says "probably equal", never
-"certainly equal".
+"certainly equal".  `swap_test` returns that one bit: True on a pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .sim import World
 
-__all__ = ["SwapOutcome", "swap_test"]
+__all__ = ["swap_test"]
 
 
-@dataclass(frozen=True)
-class SwapOutcome:
-    """Result of one swap test."""
-
-    passed: bool
-
-
-def swap_test(world: World, register_a, register_b) -> SwapOutcome:
-    """Compare two equal-length registers of distinct live qubits.
+def swap_test(world: World, register_a, register_b) -> bool:
+    """Compare two equal-length registers of distinct live qubits; True
+    on a pass, the one bit the test yields.
 
     The inputs are consumed in the sense that they end up entangled with
     each other; only when the test passes on identical pure inputs is the
     joint state left exactly as it was.  Registers that differ in length,
     are empty, overlap or name a retired qubit raise ``ValueError``.
     """
-    return SwapOutcome(passed=world.measure_swap(register_a, register_b))
+    return world.measure_swap(register_a, register_b)

@@ -19,6 +19,9 @@ cheque qubit on a minus outcome.  That restores the payload exactly for
 every one of the eight outcome combinations; the encode table below and
 this recovery rule are cross-checked against the branch algebra in the
 test suite.
+
+Each step returns its one classical output: `encode_qubit` the Bell
+outcome, `recover_qubit` the X outcome.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ from .sim import (
 
 __all__ = [
     "GhzTriple",
-    "EncodingRecord",
-    "RecoveryRecord",
     "GHZ_AMPLITUDES",
     "ENCODE_CORRECTIONS",
     "prepare_ghz",
@@ -79,24 +80,6 @@ class GhzTriple:
     used: bool = False
 
 
-@dataclass(frozen=True)
-class EncodingRecord:
-    """Classical residue of one encode step."""
-
-    index: int
-    outcome: BellOutcome
-    correction: str
-
-
-@dataclass(frozen=True)
-class RecoveryRecord:
-    """Classical residue of one recovery step."""
-
-    qubit: QubitHandle
-    outcome: HadamardOutcome
-    correction: str
-
-
 def prepare_ghz(world: World, index: int) -> GhzTriple:
     """Allocate a fresh GHZ triple: two issuer qubits and one vault qubit."""
     issuer_a, issuer_b, bank = world.allocate_group(
@@ -105,33 +88,33 @@ def prepare_ghz(world: World, index: int) -> GhzTriple:
     return GhzTriple(index=index, issuer_qubit=issuer_a, cheque_qubit=issuer_b, bank_qubit=bank)
 
 
-def encode_qubit(world: World, payload: QubitHandle, triple: GhzTriple) -> EncodingRecord:
+def encode_qubit(world: World, payload: QubitHandle, triple: GhzTriple) -> BellOutcome:
     """Bell-measure (payload, issuer_qubit) and correct the cheque qubit.
 
     Consumes the payload and the triple's first qubit; afterwards the
     payload amplitudes live jointly on (cheque_qubit, bank_qubit) in the
-    branch-dependent form documented in the module docstring.
+    branch-dependent form documented in the module docstring.  Returns
+    the Bell outcome; the correction applied is
+    ``ENCODE_CORRECTIONS[outcome]``.
     """
     if triple.used:
         raise ValueError(f"triple {triple.index} has already encoded a qubit")
     outcome = world.measure_bell(payload, triple.issuer_qubit)
-    name, pauli = ENCODE_CORRECTIONS[outcome]
-    world.apply_gate(pauli, [triple.cheque_qubit])
+    world.apply_gate(ENCODE_CORRECTIONS[outcome][1], [triple.cheque_qubit])
     triple.used = True
-    return EncodingRecord(index=triple.index, outcome=outcome, correction=name)
+    return outcome
 
 
-def recover_qubit(world: World, bank_qubit: QubitHandle, cheque_qubit: QubitHandle) -> RecoveryRecord:
+def recover_qubit(world: World, bank_qubit: QubitHandle, cheque_qubit: QubitHandle) -> HadamardOutcome:
     """Collapse the bank side and restore the payload onto the cheque qubit.
 
     The bank qubit is measured in the X basis and left behind as a
     factored-out |+> or |->; the caller decides when to discard it.  On a
     minus outcome the cheque qubit picks up a Z correction.  Afterwards
     the cheque qubit holds the original payload up to global phase.
+    Returns the X outcome, the one classical bit recovery yields.
     """
     outcome = world.measure_hadamard(bank_qubit)
-    correction = "I"
     if outcome is HadamardOutcome.MINUS:
         world.apply_gate(PAULI_Z, [cheque_qubit])
-        correction = "Z"
-    return RecoveryRecord(qubit=cheque_qubit, outcome=outcome, correction=correction)
+    return outcome

@@ -1,0 +1,46 @@
+"""Test-side views of the package: state extraction, random unitaries and
+transcript filters that no protocol path needs."""
+
+import numpy as np
+
+from qcheque.bits import BitString
+
+
+def state_of(world, register) -> np.ndarray:
+    """Pure state of a register, axes in register order, global phase fixed
+    so equal registers compare equal.  Raises unless the register is
+    unentangled with the rest of the world."""
+    rho = world.reduced_density(register)
+    purity = float(np.trace(rho @ rho).real)
+    if purity < 1.0 - 1e-9:
+        raise ValueError(f"register is entangled with other qubits (purity {purity:.6f})")
+    vals, vecs = np.linalg.eigh(rho)
+    vec = vecs[:, int(np.argmax(vals))]
+    pivot = int(np.argmax(np.abs(vec)))
+    return vec / (vec[pivot] / abs(vec[pivot]))
+
+
+def handles(world) -> list:
+    """All live handles of a world, in group order."""
+    return [q for g in world._groups for q in g.qubits]
+
+
+def haar_random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def messages_in_session(bank, session: int, payload_type: str | None = None) -> list:
+    return [
+        m for m in bank.transcript
+        if m.session == session and (payload_type is None or m.payload_type == payload_type)
+    ]
+
+
+def flip(bits: BitString, index: int) -> BitString:
+    """A copy of `bits` with one bit inverted."""
+    new = list(bits.bits)
+    new[index] ^= 1
+    return BitString(tuple(new))

@@ -15,10 +15,11 @@ import time
 from collections import Counter
 
 import numpy as np
+from helpers import haar_random_unitary, state_of
 
 from qcheque.adversary import clone_qubit, run_attack, run_honest
 from qcheque.protocol import Bank, SchemeParams, encode_amount, sign_cheque
-from qcheque.sim import BellOutcome, Owner, World, haar_random_qubit, haar_random_unitary
+from qcheque.sim import BellOutcome, Owner, World, haar_random_qubit
 from qcheque.stats import binomial_sigma, within_sigma
 from qcheque.swaptest import swap_test
 from qcheque.teleport import encode_qubit, prepare_ghz, recover_qubit
@@ -56,7 +57,7 @@ def test_criterion_02_encode_recover_identity():
         payload = world.allocate(Owner.ALICE, amps)
         encode_qubit(world, payload, triple)
         recover_qubit(world, triple.bank_qubit, triple.cheque_qubit)
-        got = world.state_of([triple.cheque_qubit])
+        got = state_of(world, [triple.cheque_qubit])
         worst = min(worst, abs(np.vdot(amps, got)) ** 2)
         world.discard(triple.cheque_qubit)
         world.discard(triple.bank_qubit)
@@ -74,7 +75,7 @@ def test_criterion_03_swap_test_statistics():
         for _ in range(trials):
             qa = world.allocate(Owner.BANK)
             qb = world.allocate(Owner.BANK, other)
-            passes += swap_test(world, [qa], [qb]).passed
+            passes += swap_test(world, [qa], [qb])
             world.discard(qa)
             world.discard(qb)
         expected = (1.0 + delta * delta) / 2.0
@@ -92,7 +93,7 @@ def test_criterion_04_bell_outcome_uniformity():
     for i in range(trials):
         triple = prepare_ghz(world, i)
         payload = world.allocate(Owner.ALICE, (0.6, 0.8))
-        counts[encode_qubit(world, payload, triple).outcome] += 1
+        counts[encode_qubit(world, payload, triple)] += 1
         world.discard(triple.cheque_qubit)
         world.discard(triple.bank_qubit)
     sigma = binomial_sigma(0.25, trials)
@@ -119,11 +120,11 @@ def test_criterion_05_bank_marginals_by_outcome():
         world = World(seed=seed)
         triple = prepare_ghz(world, 1)
         payload = world.allocate(Owner.ALICE, (alpha, beta))
-        record = encode_qubit(world, payload, triple)
-        if record.outcome not in found:
-            found[record.outcome] = True
+        outcome = encode_qubit(world, payload, triple)
+        if outcome not in found:
+            found[outcome] = True
             rho = world.reduced_density([triple.bank_qubit])
-            worst = max(worst, float(np.max(np.abs(rho - want[record.outcome]))))
+            worst = max(worst, float(np.max(np.abs(rho - want[outcome]))))
         seed += 1
         assert seed < 500
     criterion(5, "bank marginals by outcome", worst < 1e-9, f"max delta={worst:.2e}")
@@ -138,12 +139,12 @@ def test_criterion_06_cloner_fidelity():
         amps = haar_random_qubit(rng)
         q = world.allocate(Owner.ADVERSARY, amps)
         result = clone_qubit(world, q)
-        for clone in (result.original, result.copy):
+        for clone in (q, result.copy):
             rho = world.reduced_density([clone])
             fidelity = float(np.real(np.conj(amps) @ rho @ amps))
             worst = max(worst, abs(fidelity - 5.0 / 6.0))
-        for q in (result.original, result.copy, result.machine):
-            world.discard(q)
+        for handle in (q, result.copy, result.machine):
+            world.discard(handle)
     exact_ok = worst < 1e-9
 
     # clone against an ideal copy passes the swap test at 11/12
@@ -154,9 +155,9 @@ def test_criterion_06_cloner_fidelity():
         q = world.allocate(Owner.ADVERSARY, amps)
         result = clone_qubit(world, q)
         ideal = world.allocate(Owner.ADVERSARY, amps)
-        passes += swap_test(world, [result.copy], [ideal]).passed
-        for q in (result.original, result.copy, result.machine, ideal):
-            world.discard(q)
+        passes += swap_test(world, [result.copy], [ideal])
+        for handle in (q, result.copy, result.machine, ideal):
+            world.discard(handle)
     rate = passes / trials
     expected = 11.0 / 12.0
     stat_ok = within_sigma(rate, expected, binomial_sigma(expected, trials))

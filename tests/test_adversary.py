@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+from helpers import state_of
 
 from qcheque.adversary import (
     STRATEGIES,
@@ -54,11 +55,11 @@ def test_clone_shrinks_by_two_thirds():
         result = clone_qubit(world, q)
         pure = np.outer(amps, amps.conj())
         want = 2.0 / 3.0 * pure + 1.0 / 3.0 * identity
-        for clone in (result.original, result.copy):
+        for clone in (q, result.copy):
             got = world.reduced_density([clone])
             assert np.max(np.abs(got - want)) < 1e-9
-        for q in (result.original, result.copy, result.machine):
-            world.discard(q)
+        for handle in (q, result.copy, result.machine):
+            world.discard(handle)
 
 
 def test_clone_machine_stays_entangled():
@@ -88,9 +89,9 @@ def test_local_tamper_flips_chosen_registers():
     book, record = bank.gen_account(world, "alice", SMALL)
     cheque = sign_cheque(world, book, encode_amount(5))
     pairs = list(zip(cheque.amount_qubits, record.bank_qubits))
-    before = [world.state_of(list(pair)) for pair in pairs]
+    before = [state_of(world, list(pair)) for pair in pairs]
     local_tamper(world, cheque, indices=[2])
-    after = [world.state_of(list(pair)) for pair in pairs]
+    after = [state_of(world, list(pair)) for pair in pairs]
     x_on_first = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
     assert np.allclose(after[0], before[0])
     assert np.allclose(after[1], x_on_first @ before[1])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import flip
 
 from qcheque.bits import BitString, frame_fields
 
@@ -54,7 +55,7 @@ def test_to_bytes_matches_bitwise_packing():
 
 def test_flip_changes_exactly_one_bit():
     b = BitString((0, 0, 0, 0))
-    flipped = b.flip(2)
+    flipped = flip(b, 2)
     assert str(flipped) == "0010"
     assert str(b) == "0000"
 

@@ -161,6 +161,45 @@ def test_selftest_passes():
     assert all(check["passed"] for check in doc["checks"])
 
 
+def _rng_as_list(doc):
+    doc["world"]["rng"] = [doc["world"]["rng"]]
+
+
+def _negative_rng_counter(doc):
+    doc["world"]["rng"]["state"]["inc"] = -1
+
+
+def _public_key_as_list(doc):
+    doc["bank"]["records"][0]["public_key"] = []
+
+
+def _no_config(doc):
+    del doc["config"]
+
+
+def _signature_bits_below_minimum(doc):
+    doc["bank"]["signature_bits"] = 7
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_rng_as_list, _negative_rng_counter, _public_key_as_list, _no_config,
+     _signature_bits_below_minimum],
+)
+def test_malformed_snapshot_is_a_file_error(corrupt, tmp_path):
+    scenario = tmp_path / "scenario.json"
+    proc = run_cli("snapshot", *FAST, "--seed", "9", "--snapshot", str(scenario))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(scenario.read_text())
+    corrupt(doc)
+    scenario.write_text(json.dumps(doc))
+    resaved = tmp_path / "resaved.json"
+    proc = run_cli("restore", "--snapshot", str(scenario), "--out", str(resaved))
+    assert proc.returncode == 3, proc.stderr
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert not resaved.exists()
+
+
 def _empty_group(world):
     world["groups"].append({"qubits": [], "amplitudes": [[1.0, 0.0]]})
 

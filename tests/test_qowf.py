@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import flip, state_of
 
 from qcheque.bits import BitString
 from qcheque.qowf import (
@@ -78,9 +79,9 @@ def test_every_field_changes_the_state():
     amount = BitString.from_text("42")
     base = auth_state_amplitudes(key, ident, nonce, amount, 2)
     variants = [
-        auth_state_amplitudes(key.flip(0), ident, nonce, amount, 2),
+        auth_state_amplitudes(flip(key, 0), ident, nonce, amount, 2),
         auth_state_amplitudes(key, BitString.from_text("alicf"), nonce, amount, 2),
-        auth_state_amplitudes(key, ident, nonce.flip(3), amount, 2),
+        auth_state_amplitudes(key, ident, flip(nonce, 3), amount, 2),
         auth_state_amplitudes(key, ident, nonce, BitString.from_text("43"), 2),
     ]
     for other in variants:
@@ -120,11 +121,11 @@ def test_prepare_allocates_expected_register():
     assert all(q.owner is Owner.BANK for q in register)
     want = auth_state_amplitudes(key, ident, nonce, amount, 3)
     for q, (a0, a1) in zip(register, want):
-        assert abs(np.vdot(world.state_of([q]), [a0, a1])) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(state_of(world, [q]), [a0, a1])) == pytest.approx(1.0, abs=1e-12)
 
     single = prepare_amount_state(world, nonce, amount, 2)
     a0, a1 = amount_state_amplitudes(nonce, amount, 2)
-    assert abs(np.vdot(world.state_of([single]), [a0, a1])) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(state_of(world, [single]), [a0, a1])) == pytest.approx(1.0, abs=1e-12)
     assert single.owner is Owner.ALICE
 
 

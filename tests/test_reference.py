@@ -10,9 +10,10 @@ import functools
 import json
 
 import numpy as np
+from helpers import handles, haar_random_unitary
 from reference import BELL_BASIS, X_BASIS, Z_BASIS, FlatWorld
 
-from qcheque.sim import Owner, World, haar_random_unitary
+from qcheque.sim import Owner, World
 
 MAX_QUBITS = 10
 STEPS = 40
@@ -21,7 +22,7 @@ STEPS = 40
 def _world_state(world):
     """The world's state tensor over all live qubits, axes in ascending id."""
     groups = []
-    for q in world.handles():
+    for q in handles(world):
         if world.group_of(q) not in groups:
             groups.append(world.group_of(q))
     tensors = [g.amps.reshape((2,) * g.n_qubits) for g in groups]
@@ -52,9 +53,9 @@ def _step(world, flat, live, rng):
         k = 1 if move == "single" else int(rng.integers(2, 4))
         amps = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
         amps /= np.linalg.norm(amps)
-        handles = world.allocate_group([Owner.ALICE] * k, amps)
-        flat.allocate([h.qid for h in handles], amps)
-        live += handles
+        fresh = world.allocate_group([Owner.ALICE] * k, amps)
+        flat.allocate([h.qid for h in fresh], amps)
+        live += fresh
         return move, None, None
     if move in ("gate1", "gate2"):
         k = 1 if move == "gate1" else 2
@@ -93,7 +94,7 @@ def test_random_programs_match_flat_reference():
             moves.add(move)
             assert got == want, (seed, step)
             assert world.rng.bit_generator.state == flat.rng.bit_generator.state, (seed, step)
-            assert sorted(q.qid for q in world.handles()) == sorted(q.qid for q in live)
+            assert sorted(q.qid for q in handles(world)) == sorted(q.qid for q in live)
             world.check_partition()
             if live:
                 _assert_same_state(world, flat)

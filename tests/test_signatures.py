@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import flip
 
 from qcheque.bits import BitString
 from qcheque.signatures import LamportSignatureScheme
@@ -27,7 +28,7 @@ def test_single_flipped_bit_in_message_rejected():
     scheme, pair = keypair()
     message = BitString.from_int(0xDEAD, 16)
     signature = scheme.sign(pair.secret, message)
-    assert not scheme.verify(pair.public, message.flip(7), signature)
+    assert not scheme.verify(pair.public, flip(message, 7), signature)
 
 
 def test_corrupted_signature_rejected():

@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from helpers import handles, haar_random_unitary, state_of
 
 from qcheque.sim import (
     _BELL_BASIS,
@@ -22,7 +23,6 @@ from qcheque.sim import (
     _check_unitary,
     _validated_gate,
     haar_random_qubit,
-    haar_random_unitary,
 )
 from qcheque.stats import binomial_sigma, within_sigma
 
@@ -112,7 +112,7 @@ def test_hadamard_makes_equal_superposition():
     world = World(seed=0)
     q = world.allocate(Owner.ALICE)
     world.apply_gate(HADAMARD, [q])
-    assert overlap_mod(world.state_of([q]), [1 / SQRT2, 1 / SQRT2]) == pytest.approx(1.0)
+    assert overlap_mod(state_of(world, [q]), [1 / SQRT2, 1 / SQRT2]) == pytest.approx(1.0)
 
 
 def test_double_z_is_identity():
@@ -121,7 +121,7 @@ def test_double_z_is_identity():
     q = world.allocate(Owner.ALICE, amps)
     world.apply_gate(PAULI_Z, [q])
     world.apply_gate(PAULI_Z, [q])
-    assert overlap_mod(world.state_of([q]), amps) == pytest.approx(1.0, abs=1e-12)
+    assert overlap_mod(state_of(world, [q]), amps) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_non_unitary_matrix_rejected():
@@ -203,7 +203,7 @@ def test_gate_against_dense_contraction_oracle():
         # dense oracle: permute axes (2,0) to the front, apply, permute back
         t = amps.reshape(2, 2, 2).transpose(2, 0, 1).reshape(4, 2)
         t = (gate @ t).reshape(2, 2, 2).transpose(1, 2, 0)
-        assert overlap_mod(world.state_of(qs), t) == pytest.approx(1.0, abs=1e-12)
+        assert overlap_mod(state_of(world, qs), t) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_group_ceiling_enforced_on_merge():
@@ -303,7 +303,7 @@ def test_hadamard_basis_measurement():
     q = world.allocate(Owner.ALICE, (1 / SQRT2, 1 / SQRT2))
     assert world.measure_hadamard(q) is HadamardOutcome.PLUS
     # and the post-state is still |+>
-    assert overlap_mod(world.state_of([q]), [1 / SQRT2, 1 / SQRT2]) == pytest.approx(1.0)
+    assert overlap_mod(state_of(world, [q]), [1 / SQRT2, 1 / SQRT2]) == pytest.approx(1.0)
 
     plusses = 0
     trials = 10_000
@@ -326,8 +326,8 @@ def _twin_worlds(seed):
 def assert_same_world(world, twin):
     """The twin's live qubits, grouped and ordered alike, with amplitudes
     within 1e-12, and both PRNGs at the same position."""
-    assert world.handles() == [q for q in twin.handles() if q in world]
-    for q in world.handles():
+    assert handles(world) == [q for q in handles(twin) if q in world]
+    for q in handles(world):
         mine, theirs = world.group_of(q), twin.group_of(q)
         assert mine.qubits == theirs.qubits
         assert np.max(np.abs(mine.amps - theirs.amps)) < 1e-12
@@ -477,14 +477,14 @@ def test_state_of_entangled_subset_rejected():
     world = World(seed=34)
     a, b = world.allocate_group([Owner.ALICE] * 2, [1 / SQRT2, 0, 0, 1 / SQRT2])
     with pytest.raises(ValueError):
-        world.state_of([a])
+        state_of(world, [a])
 
 
 def test_state_of_spans_product_groups():
     world = World(seed=35)
     a = world.allocate(Owner.ALICE, (0.6, 0.8))
     b = world.allocate(Owner.ALICE, (0.0, 1.0))
-    got = world.state_of([a, b])
+    got = state_of(world, [a, b])
     want = np.kron([0.6, 0.8], [0.0, 1.0])
     assert overlap_mod(got, want) == pytest.approx(1.0, abs=1e-12)
 
@@ -499,8 +499,8 @@ def test_copy_is_independent():
     q = world.allocate(Owner.ALICE, (0.6, 0.8))
     twin = World.from_json(world.to_json())
     world.apply_gate(PAULI_X, [q])
-    assert overlap_mod(twin.state_of([q]), [0.6, 0.8]) == pytest.approx(1.0)
-    assert overlap_mod(world.state_of([q]), [0.8, 0.6]) == pytest.approx(1.0)
+    assert overlap_mod(state_of(twin, [q]), [0.6, 0.8]) == pytest.approx(1.0)
+    assert overlap_mod(state_of(world, [q]), [0.8, 0.6]) == pytest.approx(1.0)
 
 
 def test_copy_replays_identical_randomness():
@@ -634,7 +634,7 @@ def test_identity_gate_exists_and_does_nothing():
     world = World(seed=0)
     q = world.allocate(Owner.ALICE, (0.6, 0.8))
     world.apply_gate(ID2, [q])
-    assert overlap_mod(world.state_of([q]), [0.6, 0.8]) == pytest.approx(1.0)
+    assert overlap_mod(state_of(world, [q]), [0.6, 0.8]) == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ def test_identical_pure_states_always_pass():
         amps = haar_random_qubit(world.rng)
         a = world.allocate(Owner.ALICE, amps)
         b = world.allocate(Owner.BANK, amps)
-        assert swap_test(world, [a], [b]).passed
+        assert swap_test(world, [a], [b])
         world.discard(a)
         world.discard(b)
 
@@ -24,7 +24,7 @@ def test_orthogonal_states_pass_half_the_time():
     for _ in range(trials):
         a = world.allocate(Owner.ALICE, (1.0, 0.0))
         b = world.allocate(Owner.ALICE, (0.0, 1.0))
-        passes += swap_test(world, [a], [b]).passed
+        passes += swap_test(world, [a], [b])
         world.discard(a)
         world.discard(b)
     assert within_sigma(passes / trials, 0.5, binomial_sigma(0.5, trials))
@@ -38,7 +38,7 @@ def test_pass_rate_tracks_overlap():
     for _ in range(trials):
         a = world.allocate(Owner.ALICE, (1.0, 0.0))
         b = world.allocate(Owner.ALICE, (0.6, 0.8))
-        passes += swap_test(world, [a], [b]).passed
+        passes += swap_test(world, [a], [b])
         world.discard(a)
         world.discard(b)
     assert within_sigma(passes / trials, 0.68, binomial_sigma(0.68, trials))
@@ -54,7 +54,7 @@ def test_multi_qubit_registers_compare_joint_overlap():
     for _ in range(trials):
         a = world.allocate_register(Owner.ALICE, [(1.0, 0.0), (0.6, 0.8)])
         b = world.allocate_register(Owner.BANK, [(0.6, 0.8), (0.8, 0.6)])
-        passes += swap_test(world, a, b).passed
+        passes += swap_test(world, a, b)
         for q in a + b:
             world.discard(q)
     want = 0.5 * (1 + d * d)
@@ -66,12 +66,11 @@ def test_passing_identical_inputs_leaves_them_usable():
     amps = haar_random_qubit(world.rng)
     a = world.allocate(Owner.ALICE, amps)
     b = world.allocate(Owner.BANK, amps)
-    outcome = swap_test(world, [a], [b])
-    assert outcome.passed
+    assert swap_test(world, [a], [b]) is True
     assert a in world and b in world
     world.check_partition()
     # a second test on the same pair still passes
-    assert swap_test(world, [a], [b]).passed
+    assert swap_test(world, [a], [b])
 
 
 def test_register_validation():
@@ -101,7 +100,7 @@ def test_mixed_state_pass_rate_uses_density_overlap():
         # half of a Bell pair is the maximally mixed single-qubit state
         a, partner = world.allocate_group([Owner.ALICE] * 2, [half, 0, 0, half])
         b = world.allocate(Owner.BANK, (0.6, 0.8))
-        passes += swap_test(world, [a], [b]).passed
+        passes += swap_test(world, [a], [b])
         for q in (a, partner, b):
             world.discard(q)
     assert within_sigma(passes / trials, 0.75, binomial_sigma(0.75, trials))
@@ -151,7 +150,7 @@ def test_projective_swap_test_matches_fredkin_circuit(width):
     verdicts = set()
     for seed in range(20):
         world, twin, a, b = _spread_registers(seed, width)
-        passed = swap_test(world, a, b).passed
+        passed = swap_test(world, a, b)
         assert passed == _fredkin_swap_test(twin, a, b)
         verdicts.add(passed)
         assert world.rng.bit_generator.state == twin.rng.bit_generator.state

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import haar_random_unitary, state_of
 
 from qcheque.sim import (
     BellOutcome,
@@ -7,7 +8,6 @@ from qcheque.sim import (
     Owner,
     World,
     haar_random_qubit,
-    haar_random_unitary,
 )
 from qcheque.stats import binomial_sigma, within_sigma
 from qcheque.teleport import (
@@ -34,8 +34,8 @@ def encode_fixed_payload(seed: int):
     world = World(seed=seed)
     triple = prepare_ghz(world, 1)
     payload = world.allocate(Owner.ALICE, (ALPHA, BETA))
-    record = encode_qubit(world, payload, triple)
-    return world, triple, record
+    outcome = encode_qubit(world, payload, triple)
+    return world, triple, outcome
 
 
 def collect_by_outcome(want_outcomes, seed0=0):
@@ -43,9 +43,9 @@ def collect_by_outcome(want_outcomes, seed0=0):
     found = {}
     seed = seed0
     while len(found) < len(want_outcomes):
-        world, triple, record = encode_fixed_payload(seed)
-        if record.outcome in want_outcomes and record.outcome not in found:
-            found[record.outcome] = (world, triple)
+        world, triple, outcome = encode_fixed_payload(seed)
+        if outcome in want_outcomes and outcome not in found:
+            found[outcome] = (world, triple)
         seed += 1
         assert seed - seed0 < 500, "outcome sampling should not take this long"
     return found
@@ -54,7 +54,7 @@ def collect_by_outcome(want_outcomes, seed0=0):
 def test_ghz_amplitudes_and_custody():
     world = World(seed=1)
     triple = prepare_ghz(world, 3)
-    got = world.state_of([triple.issuer_qubit, triple.cheque_qubit, triple.bank_qubit])
+    got = state_of(world, [triple.issuer_qubit, triple.cheque_qubit, triple.bank_qubit])
     assert overlap_mod(got, GHZ_AMPLITUDES) == pytest.approx(1.0, abs=1e-12)
     assert triple.issuer_qubit.owner is Owner.ALICE
     assert triple.cheque_qubit.owner is Owner.ALICE
@@ -63,12 +63,11 @@ def test_ghz_amplitudes_and_custody():
 
 
 def test_encode_consumes_payload_and_issuer_qubit():
-    world, triple, record = encode_fixed_payload(2)
+    world, triple, outcome = encode_fixed_payload(2)
     assert triple.used
     assert triple.issuer_qubit not in world
     assert triple.cheque_qubit in world and triple.bank_qubit in world
-    assert record.index == 1
-    assert record.correction == ENCODE_CORRECTIONS[record.outcome][0]
+    assert isinstance(outcome, BellOutcome)
 
 
 def test_triple_cannot_encode_twice():
@@ -85,7 +84,7 @@ def test_bell_outcomes_uniform_over_encodes():
     for i in range(trials):
         triple = prepare_ghz(world, i)
         payload = world.allocate(Owner.ALICE, haar_random_qubit(world.rng))
-        counts[encode_qubit(world, payload, triple).outcome] += 1
+        counts[encode_qubit(world, payload, triple)] += 1
         world.discard(triple.cheque_qubit)
         world.discard(triple.bank_qubit)
     sigma = binomial_sigma(0.25, trials)
@@ -98,7 +97,7 @@ def test_joint_state_by_outcome_family():
     a|01>+b|10> for PHI outcomes, up to global phase."""
     found = collect_by_outcome(set(BellOutcome))
     for outcome, (world, triple) in found.items():
-        got = world.state_of([triple.cheque_qubit, triple.bank_qubit])
+        got = state_of(world, [triple.cheque_qubit, triple.bank_qubit])
         family = PSI_FORM if outcome in (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS) else PHI_FORM
         assert overlap_mod(got, family) == pytest.approx(1.0, abs=1e-9), outcome
 
@@ -120,11 +119,11 @@ def test_recovery_restores_payload_for_all_eight_combinations():
     seen = set()
     seed = 100
     while len(seen) < 8 and seed < 600:
-        world, triple, record = encode_fixed_payload(seed)
-        recovery = recover_qubit(world, triple.bank_qubit, triple.cheque_qubit)
-        seen.add((record.outcome, recovery.outcome))
-        fidelity = overlap_mod(world.state_of([triple.cheque_qubit]), [ALPHA, BETA])
-        assert fidelity == pytest.approx(1.0, abs=1e-10), (record.outcome, recovery.outcome)
+        world, triple, encoded = encode_fixed_payload(seed)
+        recovered = recover_qubit(world, triple.bank_qubit, triple.cheque_qubit)
+        seen.add((encoded, recovered))
+        fidelity = overlap_mod(state_of(world, [triple.cheque_qubit]), [ALPHA, BETA])
+        assert fidelity == pytest.approx(1.0, abs=1e-10), (encoded, recovered)
         seed += 1
     assert len(seen) == 8, f"only saw {sorted((a.value, b.value) for a, b in seen)}"
 
@@ -136,21 +135,20 @@ def test_recovery_fidelity_for_haar_payloads():
         triple = prepare_ghz(world, i)
         payload = world.allocate(Owner.ALICE, amps)
         encode_qubit(world, payload, triple)
-        recovery = recover_qubit(world, triple.bank_qubit, triple.cheque_qubit)
-        assert recovery.qubit == triple.cheque_qubit
-        assert overlap_mod(world.state_of([triple.cheque_qubit]), amps) >= 1.0 - 1e-10
+        recover_qubit(world, triple.bank_qubit, triple.cheque_qubit)
+        assert overlap_mod(state_of(world, [triple.cheque_qubit]), amps) >= 1.0 - 1e-10
         world.discard(triple.cheque_qubit)
         world.discard(triple.bank_qubit)
 
 
 def test_recovery_leaves_bank_qubit_factored_out():
     world, triple, _ = encode_fixed_payload(8)
-    recovery = recover_qubit(world, triple.bank_qubit, triple.cheque_qubit)
+    outcome = recover_qubit(world, triple.bank_qubit, triple.cheque_qubit)
     assert world.group_of(triple.bank_qubit).n_qubits == 1
     plus = np.array([1, 1]) / np.sqrt(2)
     minus = np.array([1, -1]) / np.sqrt(2)
-    want = plus if recovery.outcome is HadamardOutcome.PLUS else minus
-    assert overlap_mod(world.state_of([triple.bank_qubit]), want) == pytest.approx(1.0)
+    want = plus if outcome is HadamardOutcome.PLUS else minus
+    assert overlap_mod(state_of(world, [triple.bank_qubit]), want) == pytest.approx(1.0)
 
 
 def test_correction_table_structure():
