@@ -421,10 +421,7 @@ def _clone_pass_probabilities(params, seed, amount_units):
             f"{joint} qubits (4 per register qubit), above the {ceiling}-qubit "
             f"group ceiling; use auth_qubits <= {ceiling // 4}"
         )
-    world = World(seed=[seed, _ORACLE_LANE])
-    bank = Bank()
-    book, record = bank.gen_account(world, ACCOUNT_ID, params)
-    cheque = sign_cheque(world, book, encode_amount(amount_units))
+    world, _, record, cheque = _fresh_session(seed, _ORACLE_LANE, params, amount_units)
 
     amount_probs = []
     for i, q in enumerate(cheque.amount_qubits, start=1):

@@ -9,13 +9,19 @@ Signing draws a nonce, prepares the authentication register binding
 and teleport-encodes it onto the (cheque, bank) pair, then signs the
 serial number.  A cheque book signs exactly once.
 
-Verification runs cheap classical checks first and touches quantum state
-only when they pass, in this order: record lookup, ledger availability,
-signature, structural shape, recovery of every amount state, swap tests
-against independently recomputed targets, then the policy decision.
-Whatever the outcome, the submitted registers are destroyed and the
-serial is retired, so a rejected submission cannot be probed again under
-the same serial.  The spent ledger only ever moves from unspent to spent.
+Verification is one admission step followed by one exit.  Admission runs
+every classical check before any qubit is touched: record lookup, ledger
+availability, signature, then the cheque's shape (register widths, no
+handle twice, every handle live and none in bank custody).  It either
+refuses the cheque with a reject reason, raises `ValueError` on a
+malformed one, or admits it to the quantum phase: recovery of every
+amount state, swap tests against independently recomputed targets, then
+the policy decision.  Every path, a return or a raise, leaves through
+the same exit: the submitted registers and the bank's own swap-test
+targets are destroyed and, for a known serial, the account's vault is
+discarded and the serial retired, so a submission cannot be probed again
+under the same serial.  The spent ledger only ever moves from unspent to
+spent.
 
 Every bank interaction is appended to an ordered session transcript;
 one recovery outcome message crosses the bank/branch boundary per triple.
@@ -23,12 +29,13 @@ one recovery outcome message crosses the bank/branch boundary per triple.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .bits import BitString
 from .qowf import prepare_amount_state, prepare_auth_state
-from .signatures import LamportSignatureScheme
+from .signatures import PREIMAGE_BITS, LamportSignatureScheme
 from .sim import Owner, QubitHandle, World
 from .swaptest import swap_test
 from .teleport import GhzTriple, encode_qubit, prepare_ghz, recover_qubit
@@ -44,14 +51,20 @@ __all__ = [
     "Message",
     "Bank",
     "sign_cheque",
-    "destroy_cheque",
     "encode_amount",
 ]
 
 BANK_SNAPSHOT_FORMAT = "qcheque-bank"
 BANK_SNAPSHOT_VERSION = 2
-# Lamport preimage length; snapshots record it and refuse any other.
-SIGNATURE_BITS = 128
+
+
+def _field(doc: dict, key: str, kind: type):
+    """`doc[key]` if it is exactly of `kind` (so no bool passes as an int);
+    snapshots are validated, not coerced."""
+    value = doc[key]
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 class RejectReason(Enum):
@@ -139,12 +152,12 @@ class SchemeParams:
     @classmethod
     def from_json(cls, doc: dict) -> "SchemeParams":
         return cls(
-            ghz_triples=int(doc["ghz_triples"]),
-            auth_qubits=int(doc["auth_qubits"]),
-            key_bits=int(doc["key_bits"]),
-            serial_bits=int(doc["serial_bits"]),
+            ghz_triples=_field(doc, "ghz_triples", int),
+            auth_qubits=_field(doc, "auth_qubits", int),
+            key_bits=_field(doc, "key_bits", int),
+            serial_bits=_field(doc, "serial_bits", int),
             policy=AcceptancePolicy.from_json(doc["policy"]),
-            allow_insecure_key_bits=bool(doc["allow_insecure_key_bits"]),
+            allow_insecure_key_bits=_field(doc, "allow_insecure_key_bits", bool),
         )
 
 
@@ -262,16 +275,16 @@ class Bank:
     # transcript plumbing
     # ------------------------------------------------------------------
 
-    def _open_session(self) -> tuple[int, list[int]]:
+    def _session(self):
+        """Open a session; returns `log(sender, receiver, payload_type,
+        payload)`, which appends that session's messages numbered from 0."""
         self._session_counter += 1
-        return self._session_counter, [0]
+        session, seq = self._session_counter, itertools.count()
 
-    def _log(self, session: int, seq_box: list[int], sender: str, receiver: str,
-             payload_type: str, payload: dict) -> None:
-        self.transcript.append(
-            Message(session, seq_box[0], sender, receiver, payload_type, payload)
-        )
-        seq_box[0] += 1
+        def log(sender: str, receiver: str, payload_type: str, payload: dict) -> None:
+            self.transcript.append(Message(session, next(seq), sender, receiver, payload_type, payload))
+
+        return log
 
     # ------------------------------------------------------------------
     # account generation
@@ -279,12 +292,12 @@ class Bank:
 
     def gen_account(self, world: World, account_id: str, params: SchemeParams) -> tuple[ChequeBook, BankRecord]:
         """Open an account: shared key, serial, signing keys, GHZ triples."""
-        session, seq = self._open_session()
+        log = self._session()
         serial = BitString.random(world.rng, params.serial_bits)
         while str(serial) in self._records:
             serial = BitString.random(world.rng, params.serial_bits)
         shared_key = BitString.random(world.rng, params.key_bits)
-        keypair = self.scheme.generate_keypair(SIGNATURE_BITS, world.rng)
+        keypair = self.scheme.generate_keypair(world.rng)
         triples = [prepare_ghz(world, i) for i in range(1, params.ghz_triples + 1)]
 
         record = BankRecord(
@@ -306,9 +319,8 @@ class Bank:
             params=params,
             scheme=self.scheme,
         )
-        self._log(session, seq, "main", "issuer", "account-issued",
-                  {"account_id": account_id, "serial": str(serial),
-                   "ghz_triples": params.ghz_triples})
+        log("main", "issuer", "account-issued",
+            {"account_id": account_id, "serial": str(serial), "ghz_triples": params.ghz_triples})
         return book, record
 
     # ------------------------------------------------------------------
@@ -327,98 +339,87 @@ class Bank:
     def verify_cheque(self, world: World, cheque: QuantumCheque) -> VerifyResult:
         """Run the full deposit pipeline on a submitted cheque.
 
-        Classical checks run before any qubit is touched, so a replayed
-        serial is refused without consuming bank-side entanglement.  All
-        submitted quantum registers are destroyed on every terminal
-        outcome and the serial is retired, along with whatever is left of
-        the account's vault.  Handles in bank custody are never destroyed
-        as part of a submission; naming one is a shape error.
+        `_admit` runs every classical check before any qubit is touched,
+        so a replayed serial is refused without consuming bank-side
+        entanglement.  Everything after the lookup sits in one
+        `try/finally`, whose exit destroys the submitted registers (never
+        a handle in bank custody) and the bank's own swap-test targets,
+        and retires a known serial along with whatever is left of its
+        vault.  It runs on every return and every raise.
         """
-        session, seq = self._open_session()
-        self._log(session, seq, "branch", "main", "verify-request",
-                  {"account_id": cheque.account_id, "serial": str(cheque.serial)})
-
+        log = self._session()
+        log("branch", "main", "verify-request",
+            {"account_id": cheque.account_id, "serial": str(cheque.serial)})
         record = self._records.get(str(cheque.serial))
-        if record is None or record.account_id != cheque.account_id:
-            self._log(session, seq, "main", "branch", "lookup-status", {"known": False})
-            destroy_cheque(world, cheque)
-            return VerifyResult(False, RejectReason.UNKNOWN_ID_SERIAL)
+        if record is not None and record.account_id != cheque.account_id:
+            record = None
+        # bank-side qubits the exit discards: the vault, then swap-test targets
+        bank_held = [] if record is None else list(record.bank_qubits)
+        try:
+            reason = self._admit(world, cheque, record, log)
+            if reason is not None:
+                return VerifyResult(False, reason)
 
-        if record.spent or record.destroyed:
-            self._log(session, seq, "main", "branch", "lookup-status",
-                      {"known": True, "available": False})
-            destroy_cheque(world, cheque)
-            return VerifyResult(False, RejectReason.DOUBLE_SPEND)
-        self._log(session, seq, "main", "branch", "lookup-status",
-                  {"known": True, "available": True})
+            # quantum phase: recover each amount state onto its cheque qubit
+            for i, (bank_q, cheque_q) in enumerate(zip(record.bank_qubits, cheque.amount_qubits), start=1):
+                outcome = recover_qubit(world, bank_q, cheque_q)
+                log("main", "branch", "recovery-outcome", {"index": i, "outcome": outcome.value})
+                world.discard(bank_q)
 
+            amount_passes = []
+            for i, cheque_q in enumerate(cheque.amount_qubits, start=1):
+                target = prepare_amount_state(world, cheque.nonce, cheque.amount, i, owner=Owner.BANK)
+                bank_held.append(target)
+                amount_passes.append(swap_test(world, [cheque_q], [target]))
+                world.discard(target)
+
+            params = record.params
+            auth_target = prepare_auth_state(
+                world, record.shared_key, BitString.from_text(cheque.account_id), cheque.nonce,
+                cheque.amount, params.auth_qubits, owner=Owner.BANK,
+            )
+            bank_held += auth_target
+            auth_passed = swap_test(world, list(cheque.auth_qubits), auth_target)
+            for q in auth_target:
+                world.discard(q)
+
+            amount_ok = params.policy.decide(amount_passes)
+            accepted = amount_ok and auth_passed
+            if accepted:
+                reason = RejectReason.OK
+            elif not amount_ok:
+                reason = RejectReason.AMOUNT_STATE_FAIL
+            else:
+                reason = RejectReason.AUTH_STATE_FAIL
+            log("branch", "main", "verdict", {"accepted": accepted, "reason": reason.value})
+            record.spent = accepted  # admitted, so it was unspent
+            return VerifyResult(accepted, reason, tuple(amount_passes), auth_passed)
+        finally:
+            for q in [*cheque.amount_qubits, *cheque.auth_qubits]:
+                if q in world and q.owner is not Owner.BANK:
+                    world.discard(q)
+            for q in bank_held:
+                if q in world:
+                    world.discard(q)
+            if record is not None:
+                record.destroyed = True
+
+    def _admit(self, world: World, cheque: QuantumCheque, record: BankRecord | None, log) -> RejectReason | None:
+        """Every classical check, in order; None admits the cheque to the
+        quantum phase.  A malformed cheque raises `ValueError`."""
+        if record is None:
+            log("main", "branch", "lookup-status", {"known": False})
+            return RejectReason.UNKNOWN_ID_SERIAL
+        available = not (record.spent or record.destroyed)
+        log("main", "branch", "lookup-status", {"known": True, "available": available})
+        if not available:
+            return RejectReason.DOUBLE_SPEND
         signature_ok = self.scheme.verify(record.public_key, cheque.serial, cheque.signature)
-        self._log(session, seq, "branch", "main", "signature-status", {"valid": signature_ok})
+        log("branch", "main", "signature-status", {"valid": signature_ok})
         if not signature_ok:
-            self._retire(world, record, cheque)
-            return VerifyResult(False, RejectReason.BAD_SIGNATURE)
+            return RejectReason.BAD_SIGNATURE
 
         params = record.params
-        try:
-            self._require_shape(world, cheque, params)
-        except ValueError:
-            self._retire(world, record, cheque)
-            raise
-
-        # quantum phase: recover each amount state onto its cheque qubit
-        for i, (bank_q, cheque_q) in enumerate(zip(record.bank_qubits, cheque.amount_qubits), start=1):
-            outcome = recover_qubit(world, bank_q, cheque_q)
-            self._log(session, seq, "main", "branch", "recovery-outcome",
-                      {"index": i, "outcome": outcome.value})
-            world.discard(bank_q)
-
-        amount_passes = []
-        for i, cheque_q in enumerate(cheque.amount_qubits, start=1):
-            target = prepare_amount_state(world, cheque.nonce, cheque.amount, i, owner=Owner.BANK)
-            amount_passes.append(swap_test(world, [cheque_q], [target]))
-            world.discard(target)
-
-        id_bits = BitString.from_text(cheque.account_id)
-        auth_target = prepare_auth_state(
-            world, record.shared_key, id_bits, cheque.nonce, cheque.amount,
-            params.auth_qubits, owner=Owner.BANK,
-        )
-        auth_passed = swap_test(world, list(cheque.auth_qubits), auth_target)
-        for q in auth_target:
-            world.discard(q)
-
-        amount_ok = params.policy.decide(amount_passes)
-        accepted = amount_ok and auth_passed
-        if accepted:
-            reason = RejectReason.OK
-        elif not amount_ok:
-            reason = RejectReason.AMOUNT_STATE_FAIL
-        else:
-            reason = RejectReason.AUTH_STATE_FAIL
-
-        self._log(session, seq, "branch", "main", "verdict",
-                  {"accepted": accepted, "reason": reason.value})
-        self._retire(world, record, cheque)
-        if accepted:
-            record.spent = True
-        return VerifyResult(
-            accepted=accepted,
-            reason=reason,
-            amount_passes=tuple(amount_passes),
-            auth_passed=auth_passed,
-        )
-
-    def _retire(self, world: World, record: BankRecord, cheque: QuantumCheque) -> None:
-        """Destroy the submission, discard the account's still-live vault
-        qubits and retire the serial: no later session can use either."""
-        destroy_cheque(world, cheque)
-        for q in record.bank_qubits:
-            if q in world:
-                world.discard(q)
-        record.destroyed = True
-
-    def _require_shape(self, world: World, cheque: QuantumCheque, params: SchemeParams) -> None:
-        handles = list(cheque.amount_qubits) + list(cheque.auth_qubits)
         if len(cheque.amount_qubits) != params.ghz_triples:
             raise ValueError(
                 f"cheque carries {len(cheque.amount_qubits)} amount qubits, "
@@ -429,12 +430,14 @@ class Bank:
                 f"cheque carries {len(cheque.auth_qubits)} auth qubits, "
                 f"scheme expects {params.auth_qubits}"
             )
+        handles = [*cheque.amount_qubits, *cheque.auth_qubits]
         if len(set(handles)) != len(handles):
             raise ValueError("cheque lists a qubit handle twice")
         for q in handles:
             world.group_of(q)
             if q.owner is Owner.BANK:
                 raise ValueError(f"cheque lists {q!r}, which is in bank custody")
+        return None
 
     # ------------------------------------------------------------------
     # persistence
@@ -459,7 +462,7 @@ class Bank:
             "format": BANK_SNAPSHOT_FORMAT,
             "version": BANK_SNAPSHOT_VERSION,
             "signature_scheme": self.scheme.identifier,
-            "signature_bits": SIGNATURE_BITS,
+            "signature_bits": PREIMAGE_BITS,
             "session_counter": self._session_counter,
             "records": records,
             "transcript": [
@@ -484,10 +487,10 @@ class Bank:
                 f"unsupported bank snapshot version {doc.get('version')!r}, "
                 f"expected {BANK_SNAPSHOT_VERSION}"
             )
-        if doc.get("signature_bits") != SIGNATURE_BITS:
+        if doc.get("signature_bits") != PREIMAGE_BITS:
             raise ValueError(
                 f"snapshot signs with {doc.get('signature_bits')!r}-bit preimages, "
-                f"expected {SIGNATURE_BITS}"
+                f"expected {PREIMAGE_BITS}"
             )
         bank = cls()
         if bank.scheme.identifier != doc.get("signature_scheme"):
@@ -495,7 +498,7 @@ class Bank:
                 f"snapshot uses scheme {doc.get('signature_scheme')!r}, "
                 f"bank is configured with {bank.scheme.identifier!r}"
             )
-        bank._session_counter = int(doc["session_counter"])
+        bank._session_counter = _field(doc, "session_counter", int)
         for entry in doc["records"]:
             record = BankRecord(
                 account_id=entry["account_id"],
@@ -504,8 +507,8 @@ class Bank:
                 public_key=bank.scheme.public_key_from_json(entry["public_key"]),
                 bank_qubits=[QubitHandle(int(q), Owner(o)) for q, o in entry["bank_qubits"]],
                 params=SchemeParams.from_json(entry["params"]),
-                spent=bool(entry["spent"]),
-                destroyed=bool(entry["destroyed"]),
+                spent=_field(entry, "spent", bool),
+                destroyed=_field(entry, "destroyed", bool),
             )
             bank._records[str(record.serial)] = record
         for m in doc["transcript"]:
@@ -550,13 +553,3 @@ def sign_cheque(world: World, book: ChequeBook, amount: BitString) -> QuantumChe
         auth_qubits=tuple(auth),
     )
 
-
-def destroy_cheque(world: World, cheque: QuantumCheque) -> None:
-    """Measure out and retire whatever cheque qubits are still alive.
-
-    Handles in bank custody are left alone: a submission that names vault
-    qubits must not be able to destroy them.
-    """
-    for q in list(cheque.amount_qubits) + list(cheque.auth_qubits):
-        if q in world and q.owner is not Owner.BANK:
-            world.discard(q)

@@ -19,6 +19,7 @@ import numpy as np
 from .bits import BitString, frame_fields
 
 __all__ = [
+    "PREIMAGE_BITS",
     "LamportSignatureScheme",
     "LamportPublicKey",
     "LamportSecretKey",
@@ -26,14 +27,15 @@ __all__ = [
 ]
 
 _DIGEST_BITS = 256
+# Length of every secret preimage; snapshots record it and refuse any other.
+PREIMAGE_BITS = 128
+_PREIMAGE_BYTES = PREIMAGE_BITS // 8
 
 
 @dataclass(frozen=True)
 class LamportPublicKey:
     """Hashes of all secret preimages, indexed [bit position][bit value]."""
 
-    scheme: str
-    preimage_bits: int
     entries: tuple[tuple[bytes, bytes], ...]
 
 
@@ -41,8 +43,6 @@ class LamportPublicKey:
 class LamportSecretKey:
     """Random preimages, consumed by the first signature."""
 
-    scheme: str
-    preimage_bits: int
     entries: tuple[tuple[bytes, bytes], ...]
     used: bool = False
 
@@ -63,44 +63,36 @@ class LamportSignatureScheme:
 
     identifier = "lamport-sha256-v1"
 
-    def generate_keypair(self, security_parameter: int, rng: np.random.Generator) -> KeyPair:
-        """Draw a fresh keypair; `security_parameter` is the preimage length in bits."""
-        if security_parameter < 64:
-            raise ValueError("security_parameter must be at least 64 bits")
-        if security_parameter % 8:
-            raise ValueError("security_parameter must be a whole number of bytes")
-        width = security_parameter // 8
+    def generate_keypair(self, rng: np.random.Generator) -> KeyPair:
+        """Draw a fresh keypair of `PREIMAGE_BITS`-bit preimages."""
         secret_entries = []
         public_entries = []
         for _ in range(_DIGEST_BITS):
-            pre0 = rng.bytes(width)
-            pre1 = rng.bytes(width)
+            pre0 = rng.bytes(_PREIMAGE_BYTES)
+            pre1 = rng.bytes(_PREIMAGE_BYTES)
             secret_entries.append((pre0, pre1))
             public_entries.append((hashlib.sha256(pre0).digest(), hashlib.sha256(pre1).digest()))
         return KeyPair(
-            public=LamportPublicKey(self.identifier, security_parameter, tuple(public_entries)),
-            secret=LamportSecretKey(self.identifier, security_parameter, tuple(secret_entries)),
+            public=LamportPublicKey(tuple(public_entries)),
+            secret=LamportSecretKey(tuple(secret_entries)),
         )
 
     def sign(self, secret_key: LamportSecretKey, message: BitString) -> bytes:
         if secret_key.used:
             raise ValueError("one-time secret key has already signed a message")
-        if secret_key.scheme != self.identifier:
-            raise ValueError("secret key belongs to a different scheme")
         bits = _message_digest_bits(message)
         secret_key.used = True
         return b"".join(secret_key.entries[i][b] for i, b in enumerate(bits))
 
     def verify(self, public_key: LamportPublicKey, message: BitString, signature: bytes) -> bool:
         """Total verification: malformed input yields False, never an exception."""
-        if not isinstance(public_key, LamportPublicKey) or public_key.scheme != self.identifier:
+        if not isinstance(public_key, LamportPublicKey):
             return False
-        width = public_key.preimage_bits // 8
-        if not isinstance(signature, (bytes, bytearray)) or len(signature) != width * _DIGEST_BITS:
+        if not isinstance(signature, (bytes, bytearray)) or len(signature) != _PREIMAGE_BYTES * _DIGEST_BITS:
             return False
         bits = _message_digest_bits(message)
         for i, b in enumerate(bits):
-            preimage = bytes(signature[i * width : (i + 1) * width])
+            preimage = bytes(signature[i * _PREIMAGE_BYTES : (i + 1) * _PREIMAGE_BYTES])
             if hashlib.sha256(preimage).digest() != public_key.entries[i][b]:
                 return False
         return True
@@ -109,8 +101,8 @@ class LamportSignatureScheme:
 
     def public_key_to_json(self, public_key: LamportPublicKey) -> dict:
         return {
-            "scheme": public_key.scheme,
-            "preimage_bits": public_key.preimage_bits,
+            "scheme": self.identifier,
+            "preimage_bits": PREIMAGE_BITS,
             "entries": [[a.hex(), b.hex()] for a, b in public_key.entries],
         }
 
@@ -119,7 +111,11 @@ class LamportSignatureScheme:
             raise ValueError("public key is not a JSON object")
         if doc.get("scheme") != self.identifier:
             raise ValueError(f"public key scheme {doc.get('scheme')!r} is not {self.identifier!r}")
+        if doc.get("preimage_bits") != PREIMAGE_BITS:
+            raise ValueError(
+                f"public key has {doc.get('preimage_bits')!r}-bit preimages, expected {PREIMAGE_BITS}"
+            )
         entries = tuple((bytes.fromhex(a), bytes.fromhex(b)) for a, b in doc["entries"])
         if len(entries) != _DIGEST_BITS:
             raise ValueError("public key has a malformed entry table")
-        return LamportPublicKey(self.identifier, int(doc["preimage_bits"]), entries)
+        return LamportPublicKey(entries)

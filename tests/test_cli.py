@@ -181,10 +181,30 @@ def _signature_bits_below_minimum(doc):
     doc["bank"]["signature_bits"] = 7
 
 
+# Fields of the wrong JSON type are refused, not coerced: bool("false") is
+# True and int(2.9) is 2, so coercion would restore a bank that never was.
+def _insecure_flag_as_text(doc):
+    params = doc["bank"]["records"][0]["params"]
+    params["allow_insecure_key_bits"], params["key_bits"] = "false", 8
+
+
+def _fractional_triple_count(doc):
+    doc["bank"]["records"][0]["params"]["ghz_triples"] = 2.9
+
+
+def _spent_flag_as_text(doc):
+    doc["bank"]["records"][0]["spent"] = "false"
+
+
+def _short_preimages(doc):
+    doc["bank"]["records"][0]["public_key"]["preimage_bits"] = 64
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_rng_as_list, _negative_rng_counter, _public_key_as_list, _no_config,
-     _signature_bits_below_minimum],
+     _signature_bits_below_minimum, _insecure_flag_as_text, _fractional_triple_count,
+     _spent_flag_as_text, _short_preimages],
 )
 def test_malformed_snapshot_is_a_file_error(corrupt, tmp_path):
     scenario = tmp_path / "scenario.json"

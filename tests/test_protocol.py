@@ -247,6 +247,24 @@ def test_vault_handles_as_amount_registers_raise_after_retirement():
     assert_serial_retired(world, bank, record, cheque, aliased)
 
 
+def test_raise_in_the_quantum_phase_still_retires_the_serial():
+    # The 4+4-qubit authentication swap test needs an 8-qubit group, over
+    # this world's ceiling of 6, so the deposit raises after recovery has
+    # measured the vault.  The exit still destroys the cheque, the rest of
+    # the vault and the bank's own swap-test targets, and burns the serial.
+    params = SchemeParams(ghz_triples=2, auth_qubits=4, key_bits=64, serial_bits=64)
+    world = World(seed=5, max_group_qubits=6)
+    bank = Bank()
+    book, record = bank.gen_account(world, "alice", params)
+    cheque = sign_cheque(world, book, encode_amount(42))
+    with pytest.raises(ValueError, match="ceiling"):
+        bank.verify_cheque(world, cheque)
+    assert record.destroyed and not record.spent
+    assert world.qubit_count == 0
+    world.check_partition()
+    assert bank.verify_cheque(world, cheque).reason is RejectReason.DOUBLE_SPEND
+
+
 def test_cheque_book_signs_once():
     world = World(seed=21)
     bank = Bank()

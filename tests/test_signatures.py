@@ -6,9 +6,9 @@ from qcheque.bits import BitString
 from qcheque.signatures import LamportSignatureScheme
 
 
-def keypair(security_parameter=128, seed=0):
+def keypair(seed=0):
     scheme = LamportSignatureScheme()
-    return scheme, scheme.generate_keypair(security_parameter, np.random.default_rng(seed))
+    return scheme, scheme.generate_keypair(np.random.default_rng(seed))
 
 
 def test_sign_verify_round_trip():
@@ -56,23 +56,15 @@ def test_secret_key_signs_exactly_once():
 
 
 def test_key_and_signature_sizes():
-    # 256 digest positions, two preimages each, 16 bytes per preimage at
-    # security parameter 128; public hashes are full 32-byte digests
-    scheme, pair = keypair(security_parameter=128)
+    # 256 digest positions, two preimages each, 16 bytes per 128-bit
+    # preimage; public hashes are full 32-byte digests
+    scheme, pair = keypair()
     assert len(pair.secret.entries) == 256
     assert all(len(pre) == 16 for row in pair.secret.entries for pre in row)
     assert len(pair.public.entries) == 256
     assert all(len(h) == 32 for row in pair.public.entries for h in row)
     signature = scheme.sign(pair.secret, BitString.from_text("m"))
     assert len(signature) == 256 * 16
-
-
-def test_security_parameter_validation():
-    scheme = LamportSignatureScheme()
-    with pytest.raises(ValueError):
-        scheme.generate_keypair(32, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        scheme.generate_keypair(129, np.random.default_rng(0))
 
 
 def test_keygen_is_seed_deterministic():
@@ -96,6 +88,17 @@ def test_public_key_json_round_trip():
     message = BitString.from_text("still works")
     signature = scheme.sign(pair.secret, message)
     assert scheme.verify(restored, message, signature)
+
+
+@pytest.mark.parametrize("bits", [64, 256, "128", None])
+def test_public_key_json_refuses_other_preimage_widths(bits):
+    # Every key has 128-bit preimages; a key recorded with another width
+    # would load and then reject its own genuine signatures.
+    scheme, pair = keypair()
+    doc = scheme.public_key_to_json(pair.public)
+    assert doc["preimage_bits"] == 128
+    with pytest.raises(ValueError, match="preimages"):
+        scheme.public_key_from_json({**doc, "preimage_bits": bits})
 
 
 def test_public_key_json_scheme_mismatch_rejected():
