@@ -8,6 +8,9 @@ reports an analytic prediction and its standard error, computed without
 peeking at the sampled verdicts.  The acceptance tests hold the two
 columns to four standard deviations of each other.
 
+Every cheque is signed for AMOUNT_UNITS; the strategies that lie about
+the amount claim TAMPERED_UNITS instead.
+
 The strategies:
 
 replay
@@ -15,9 +18,8 @@ replay
     again.  The ledger refuses the second deposit deterministically.
 clone-double-spend
     Universally clone every cheque register, deposit the counterfeit
-    first, then try the genuine original.  The prediction comes from an
-    oracle session in which the averaged post-recovery clone states are
-    extracted as density matrices, with no sampling.
+    first, then try the genuine original.  Predicted in closed form from
+    the cloner's depolarising channel, with no sampling.
 tamper-amount
     Forward the genuine registers untouched but lie about the classical
     amount field.  Predicted from the overlap between the states the two
@@ -41,7 +43,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -59,11 +60,13 @@ from .qowf import (
     prepare_amount_state,
     prepare_auth_state,
 )
-from .sim import HADAMARD, PAULI_X, Owner, QubitHandle, World
+from .sim import MAX_GROUP_QUBITS, PAULI_X, Owner, QubitHandle, World
 from .stats import binomial_sigma, sigma_of_mean, wilson_interval
 
 __all__ = [
     "ACCOUNT_ID",
+    "AMOUNT_UNITS",
+    "TAMPERED_UNITS",
     "STRATEGIES",
     "CloneResult",
     "AttackStats",
@@ -75,10 +78,9 @@ __all__ = [
 
 ACCOUNT_ID = "alice"
 _ID_BITS = BitString.from_text(ACCOUNT_ID)
-
-# Trial worlds are seeded [seed, trial]; the analytic oracle world gets a
-# lane no trial index can reach.
-_ORACLE_LANE = 2**32
+AMOUNT_UNITS = 42
+TAMPERED_UNITS = 43
+_LIE = encode_amount(TAMPERED_UNITS)
 
 STRATEGIES = (
     "replay",
@@ -91,7 +93,6 @@ STRATEGIES = (
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-_CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
 def _ry(theta: float) -> np.ndarray:
@@ -181,15 +182,10 @@ class AttackStats:
 def _acceptance_probability(policy, amount_pass_probs, auth_pass_prob):
     """Chance the policy accepts, given independent per-test pass rates.
 
-    Strict mode needs every test to pass.  Threshold mode needs the
-    passing fraction of amount tests to reach kappa2, which is the tail
-    of a Poisson binomial, folded here by direct convolution.
+    The number of passing amount tests is Poisson binomial, folded here
+    by direct convolution; the weight of every pass count the policy's
+    own `decide` accepts is summed.  The authentication test must pass.
     """
-    if policy.mode == "strict":
-        joint = 1.0
-        for p in amount_pass_probs:
-            joint *= p
-        return joint * auth_pass_prob
     dist = [1.0]
     for p in amount_pass_probs:
         grown = [0.0] * (len(dist) + 1)
@@ -198,8 +194,9 @@ def _acceptance_probability(policy, amount_pass_probs, auth_pass_prob):
             grown[k + 1] += w * p
         dist = grown
     count = len(amount_pass_probs)
-    need = math.ceil(policy.kappa2 * count - 1e-12)
-    return sum(dist[need:]) * auth_pass_prob
+    accepted = sum(w for k, w in enumerate(dist)
+                   if policy.decide([True] * k + [False] * (count - k)))
+    return accepted * auth_pass_prob
 
 
 def _swap_pass(held, want) -> float:
@@ -214,15 +211,15 @@ def _swap_pass(held, want) -> float:
     return 0.5 * (1.0 + d * d)
 
 
-def _fresh_session(seed, trial, params, amount_units):
+def _fresh_session(seed, trial, params):
     world = World(seed=[seed, trial])
     bank = Bank()
     book, record = bank.gen_account(world, ACCOUNT_ID, params)
-    cheque = sign_cheque(world, book, encode_amount(amount_units))
+    cheque = sign_cheque(world, book, encode_amount(AMOUNT_UNITS))
     return world, bank, record, cheque
 
 
-def _drive(strategy, params, trials, seed, amount_units, play, extras, oracle=None):
+def _drive(strategy, params, trials, seed, play, extras, oracle=None):
     """Play `trials` fresh sessions through one strategy and summarise them.
 
     `play(world, bank, record, cheque)` acts out one trial on a freshly
@@ -230,13 +227,13 @@ def _drive(strategy, params, trials, seed, amount_units, play, extras, oracle=No
     trial's predicted acceptance rate, and counters that are summed into
     `extras`.  The per-trial rates are averaged, with `sigma_of_mean` as
     their error, unless `oracle` fixes one rate for the whole run.  Every
-    run's extras also record `amount_units`.
+    run's extras also record the signed `amount_units`.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     successes, failures, counts, predicted = 0, Counter(), Counter(), []
     for t in range(trials):
-        result, rate, counters = play(*_fresh_session(seed, t, params, amount_units))
+        result, rate, counters = play(*_fresh_session(seed, t, params))
         if result.accepted:
             successes += 1
         else:
@@ -258,50 +255,41 @@ def _drive(strategy, params, trials, seed, amount_units, play, extras, oracle=No
         wilson_high=high,
         analytic_rate=rate,
         analytic_sigma=sigma,
-        extras={"amount_units": amount_units, **extras, **counts},
+        extras={"amount_units": AMOUNT_UNITS, **extras, **counts},
     )
 
 
-def run_honest(params: SchemeParams, trials: int, seed: int, amount_units: int = 42) -> AttackStats:
+def run_honest(params: SchemeParams, trials: int, seed: int) -> AttackStats:
     """Completeness baseline: sign honestly, deposit once, count accepts."""
 
     def play(world, bank, record, cheque):
         result = bank.verify_cheque(world, cheque)
         return result, 1.0, {"ledger_spent_count": bank.spent_ledger_check(cheque.serial)}
 
-    return _drive("honest", params, trials, seed, amount_units, play, {})
+    return _drive("honest", params, trials, seed, play, {})
 
 
-def run_attack(
-    strategy: str,
-    params: SchemeParams,
-    trials: int,
-    seed: int,
-    amount_units: int = 42,
-    tampered_units: int = 43,
-) -> AttackStats:
+def run_attack(strategy: str, params: SchemeParams, trials: int, seed: int) -> AttackStats:
     """Run one adversary strategy for `trials` independent sessions."""
     extras, oracle = {}, None
     if strategy == "replay":
         play = _trial_replay
     elif strategy == "clone-double-spend":
-        amount_probs, auth_prob = _clone_pass_probabilities(params, seed, amount_units)
+        amount_probs, auth_prob = _clone_pass_probabilities(params)
         oracle = _acceptance_probability(params.policy, amount_probs, auth_prob)
         extras.update(per_register_amount_pass=amount_probs, auth_register_pass=auth_prob)
         play = _trial_clone_double_spend
     elif strategy == "tamper-amount":
-        if tampered_units == amount_units:
-            raise ValueError("tampered amount must differ from the signed amount")
-        extras["tampered_units"] = tampered_units
-        play = partial(_trial_tamper_amount, lie=encode_amount(tampered_units))
+        extras["tampered_units"] = TAMPERED_UNITS
+        play = _trial_tamper_amount
     elif strategy == "forge-key-guess":
-        extras.update(tampered_units=tampered_units, key_bits=params.key_bits)
-        play = partial(_trial_forge_key_guess, lie=encode_amount(tampered_units))
+        extras.update(tampered_units=TAMPERED_UNITS, key_bits=params.key_bits)
+        play = _trial_forge_key_guess
     elif strategy == "local-tamper":
         play = _trial_local_tamper
     else:
         raise ValueError(f"unknown strategy {strategy!r}; pick from: {', '.join(STRATEGIES)}")
-    return _drive(strategy, params, trials, seed, amount_units, play, extras, oracle)
+    return _drive(strategy, params, trials, seed, play, extras, oracle)
 
 
 # ----------------------------------------------------------------------
@@ -326,26 +314,26 @@ def _trial_clone_double_spend(world, bank, record, cheque):
     return first, None, {"original_second_accepts": second.accepted}
 
 
-def _trial_tamper_amount(world, bank, record, cheque, lie):
-    result = bank.verify_cheque(world, replace(cheque, amount=lie))
+def _trial_tamper_amount(world, bank, record, cheque):
+    result = bank.verify_cheque(world, replace(cheque, amount=_LIE))
     params = record.params
     amount_probs = [
         _swap_pass(
             [amount_state_amplitudes(cheque.nonce, cheque.amount, i)],
-            [amount_state_amplitudes(cheque.nonce, lie, i)],
+            [amount_state_amplitudes(cheque.nonce, _LIE, i)],
         )
         for i in range(1, params.ghz_triples + 1)
     ]
     auth_prob = _swap_pass(
         auth_state_amplitudes(record.shared_key, _ID_BITS, cheque.nonce, cheque.amount,
                               params.auth_qubits),
-        auth_state_amplitudes(record.shared_key, _ID_BITS, cheque.nonce, lie,
+        auth_state_amplitudes(record.shared_key, _ID_BITS, cheque.nonce, _LIE,
                               params.auth_qubits),
     )
     return result, _acceptance_probability(params.policy, amount_probs, auth_prob), {}
 
 
-def _trial_forge_key_guess(world, bank, record, cheque, lie):
+def _trial_forge_key_guess(world, bank, record, cheque):
     params = record.params
     # the malicious payee keeps the classical fields, junks the qubits
     for q in cheque.amount_qubits + cheque.auth_qubits:
@@ -355,14 +343,14 @@ def _trial_forge_key_guess(world, bank, record, cheque, lie):
     forged = replace(
         cheque,
         nonce=nonce,
-        amount=lie,
+        amount=_LIE,
         amount_qubits=tuple(
-            prepare_amount_state(world, nonce, lie, i, owner=Owner.ADVERSARY)
+            prepare_amount_state(world, nonce, _LIE, i, owner=Owner.ADVERSARY)
             for i in range(1, params.ghz_triples + 1)
         ),
         auth_qubits=tuple(
             prepare_auth_state(
-                world, guess, _ID_BITS, nonce, lie,
+                world, guess, _ID_BITS, nonce, _LIE,
                 params.auth_qubits, owner=Owner.ADVERSARY,
             )
         ),
@@ -373,12 +361,12 @@ def _trial_forge_key_guess(world, bank, record, cheque, lie):
     # each, so a register passes with 1/2 + (1 + |<g|Z|g>|^2) / 4.
     amount_probs = []
     for i in range(1, params.ghz_triples + 1):
-        a0, a1 = amount_state_amplitudes(nonce, lie, i)
+        a0, a1 = amount_state_amplitudes(nonce, _LIE, i)
         dz = abs(abs(a0) ** 2 - abs(a1) ** 2)
         amount_probs.append(0.5 + 0.25 * (1.0 + dz * dz))
     auth_prob = _swap_pass(
-        auth_state_amplitudes(guess, _ID_BITS, nonce, lie, params.auth_qubits),
-        auth_state_amplitudes(record.shared_key, _ID_BITS, nonce, lie, params.auth_qubits),
+        auth_state_amplitudes(guess, _ID_BITS, nonce, _LIE, params.auth_qubits),
+        auth_state_amplitudes(record.shared_key, _ID_BITS, nonce, _LIE, params.auth_qubits),
     )
     rate = _acceptance_probability(params.policy, amount_probs, auth_prob)
     return result, rate, {"key_guess_hits": guess == record.shared_key}
@@ -401,46 +389,24 @@ def _trial_local_tamper(world, bank, record, cheque):
 # ----------------------------------------------------------------------
 
 
-def _clone_pass_probabilities(params, seed, amount_units):
+def _clone_pass_probabilities(params):
     """Exact per-register pass probabilities for a fully cloned cheque.
 
-    One oracle session clones every register and then applies the
-    recovery step in deferred form: Hadamard on the vault qubit, a
-    controlled-Z onto the clone, and a partial trace instead of a
-    measurement.  The reduced density matrix that falls out is the
-    outcome-averaged recovered state, so the swap-test pass chance
-    (1 + <target|rho|target>) / 2 needs no sampling at all.  Raises
+    A clone carries (2/3) rho + (1/6) I, a depolarising channel that
+    commutes with the bank's recovery (an X measurement of the vault
+    qubit, then a conditional Z on the clone).  So every recovered clone
+    keeps fidelity 5/6 with its target, whatever the state: an amount
+    register passes its swap test with (1 + 5/6) / 2 = 11/12, and the n
+    independent clones of the authentication register pass together with
+    (1 + (5/6)^n) / 2 (Buzek and Hillery, PRA 54, 1844 (1996)).  Raises
     first when a trial's authentication swap test would not fit in one
     group.
     """
-    ceiling = World(seed=0).max_group_qubits
     joint = 4 * params.auth_qubits
-    if joint > ceiling:
+    if joint > MAX_GROUP_QUBITS:
         raise ValueError(
             f"the swap test over a cloned authentication register entangles "
-            f"{joint} qubits (4 per register qubit), above the {ceiling}-qubit "
-            f"group ceiling; use auth_qubits <= {ceiling // 4}"
+            f"{joint} qubits (4 per register qubit), above the {MAX_GROUP_QUBITS}-qubit "
+            f"group ceiling; use auth_qubits <= {MAX_GROUP_QUBITS // 4}"
         )
-    world, _, record, cheque = _fresh_session(seed, _ORACLE_LANE, params, amount_units)
-
-    amount_probs = []
-    for i, q in enumerate(cheque.amount_qubits, start=1):
-        clone = clone_qubit(world, q).copy
-        vault = record.bank_qubits[i - 1]
-        world.apply_gate(HADAMARD, [vault])
-        world.apply_gate(_CZ, [vault, clone])
-        rho = world.reduced_density([clone])
-        target = np.array(amount_state_amplitudes(cheque.nonce, cheque.amount, i))
-        amount_probs.append(0.5 * (1.0 + float(np.real(np.vdot(target, rho @ target)))))
-
-    pairs = auth_state_amplitudes(
-        record.shared_key, _ID_BITS, cheque.nonce, cheque.amount, params.auth_qubits
-    )
-    fidelity = 1.0
-    for q, pair in zip(cheque.auth_qubits, pairs):
-        clone = clone_qubit(world, q).copy
-        rho = world.reduced_density([clone])
-        target = np.array(pair)
-        fidelity *= float(np.real(np.vdot(target, rho @ target)))
-    auth_prob = 0.5 * (1.0 + fidelity)
-    return amount_probs, auth_prob
+    return [11.0 / 12.0] * params.ghz_triples, 0.5 * (1.0 + (5.0 / 6.0) ** params.auth_qubits)

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .adversary import (
     ACCOUNT_ID,
+    AMOUNT_UNITS,
     STRATEGIES,
     AttackStats,
     clone_qubit,
@@ -48,8 +49,6 @@ REPORT_FORMAT = "qcheque-report"
 REPORT_VERSION = 1
 SCENARIO_FORMAT = "qcheque-scenario"
 SCENARIO_VERSION = 1
-
-SNAPSHOT_AMOUNT_UNITS = 42
 
 
 class CliFileError(Exception):
@@ -143,7 +142,7 @@ def _scenario_doc(args, params: SchemeParams) -> dict:
     world = World(seed=args.seed)
     bank = Bank()
     book, _ = bank.gen_account(world, ACCOUNT_ID, params)
-    cheque = sign_cheque(world, book, encode_amount(SNAPSHOT_AMOUNT_UNITS))
+    cheque = sign_cheque(world, book, encode_amount(AMOUNT_UNITS))
     return _scenario({"params": params.to_json(), "seed": args.seed}, world, bank, cheque)
 
 

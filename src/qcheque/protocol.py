@@ -36,7 +36,7 @@ from enum import Enum
 from .bits import BitString
 from .qowf import prepare_amount_state, prepare_auth_state
 from .signatures import PREIMAGE_BITS, LamportSignatureScheme
-from .sim import Owner, QubitHandle, World
+from .sim import Owner, QubitHandle, World, _field, _handle
 from .swaptest import swap_test
 from .teleport import GhzTriple, encode_qubit, prepare_ghz, recover_qubit
 
@@ -56,15 +56,6 @@ __all__ = [
 
 BANK_SNAPSHOT_FORMAT = "qcheque-bank"
 BANK_SNAPSHOT_VERSION = 2
-
-
-def _field(doc: dict, key: str, kind: type):
-    """`doc[key]` if it is exactly of `kind` (so no bool passes as an int);
-    snapshots are validated, not coerced."""
-    value = doc[key]
-    if type(value) is not kind:
-        raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
-    return value
 
 
 class RejectReason(Enum):
@@ -107,7 +98,7 @@ class AcceptancePolicy:
 
     @classmethod
     def from_json(cls, doc: dict) -> "AcceptancePolicy":
-        return cls(mode=doc["mode"], kappa2=float(doc["kappa2"]))
+        return cls(mode=doc["mode"], kappa2=_field(doc, "kappa2", (int, float)))
 
 
 @dataclass(frozen=True)
@@ -230,8 +221,8 @@ class QuantumCheque:
             nonce=BitString.from_binary_text(doc["nonce"]),
             amount=BitString.from_binary_text(doc["amount"]),
             signature=bytes.fromhex(doc["signature"]),
-            amount_qubits=tuple(QubitHandle(int(q), Owner(o)) for q, o in doc["amount_qubits"]),
-            auth_qubits=tuple(QubitHandle(int(q), Owner(o)) for q, o in doc["auth_qubits"]),
+            amount_qubits=tuple(map(_handle, doc["amount_qubits"])),
+            auth_qubits=tuple(map(_handle, doc["auth_qubits"])),
         )
 
 
@@ -505,7 +496,7 @@ class Bank:
                 serial=BitString.from_binary_text(entry["serial"]),
                 shared_key=BitString.from_binary_text(entry["shared_key"]),
                 public_key=bank.scheme.public_key_from_json(entry["public_key"]),
-                bank_qubits=[QubitHandle(int(q), Owner(o)) for q, o in entry["bank_qubits"]],
+                bank_qubits=list(map(_handle, entry["bank_qubits"])),
                 params=SchemeParams.from_json(entry["params"]),
                 spent=_field(entry, "spent", bool),
                 destroyed=_field(entry, "destroyed", bool),
@@ -513,8 +504,8 @@ class Bank:
             bank._records[str(record.serial)] = record
         for m in doc["transcript"]:
             bank.transcript.append(
-                Message(int(m["session"]), int(m["seq"]), m["sender"], m["receiver"],
-                        m["payload_type"], m["payload"])
+                Message(_field(m, "session", int), _field(m, "seq", int), m["sender"],
+                        m["receiver"], m["payload_type"], m["payload"])
             )
         return bank
 

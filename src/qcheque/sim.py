@@ -41,8 +41,8 @@ their results into it in place: ``_measure`` and ``measure_swap`` build
 a branch in a per-thread scratch buffer that never escapes the call,
 then write it, normalised, into the front of the group's array.
 
-``reduced_density`` is an introspection tool for analysis: the clone
-oracle reads averaged states with it.  Protocol decision paths must only
+``reduced_density`` is an introspection tool for analysis: the selftest
+and the tests read states with it.  Protocol decision paths must only
 interact with the world through gates and measurements.
 """
 
@@ -62,6 +62,7 @@ __all__ = [
     "HadamardOutcome",
     "StateGroup",
     "World",
+    "MAX_GROUP_QUBITS",
     "ID2",
     "PAULI_X",
     "PAULI_Y",
@@ -73,6 +74,9 @@ __all__ = [
 
 SNAPSHOT_FORMAT = "qcheque-world"
 SNAPSHOT_VERSION = 1
+
+# The default ceiling on the qubits one group may hold.
+MAX_GROUP_QUBITS = 24
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -101,6 +105,24 @@ class QubitHandle:
 
     def __repr__(self) -> str:
         return f"q{self.qid}<{self.owner.value}>"
+
+
+def _field(doc: dict, key, kinds):
+    """`doc[key]` if its type is exactly `kinds`, or one of them when a
+    tuple (so no bool passes as an int); snapshots are validated, not
+    coerced."""
+    value = doc[key]
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{key} must be {names}, got {value!r}")
+    return value
+
+
+def _handle(pair) -> QubitHandle:
+    """A snapshot's ``[qid, owner]`` pair as a handle."""
+    qid, owner = pair
+    return QubitHandle(_field({"qid": qid}, "qid", int), Owner(owner))
 
 
 class BellOutcome(Enum):
@@ -252,7 +274,7 @@ class World:
         merging.  Exceeding it raises instead of thrashing memory.
     """
 
-    def __init__(self, seed=None, max_group_qubits: int = 24):
+    def __init__(self, seed=None, max_group_qubits: int = MAX_GROUP_QUBITS):
         if max_group_qubits < 1:
             raise ValueError("max_group_qubits must be positive")
         self.rng = np.random.default_rng(seed)
@@ -585,17 +607,17 @@ class World:
                 f"unsupported world snapshot version {doc.get('version')!r}, "
                 f"expected {SNAPSHOT_VERSION}"
             )
-        world = cls(seed=0, max_group_qubits=int(doc["max_group_qubits"]))
+        world = cls(seed=0, max_group_qubits=_field(doc, "max_group_qubits", int))
         state = doc["rng"]
         if not isinstance(state, dict):
             raise ValueError("snapshot PRNG state is not a JSON object")
         if state.get("bit_generator") != world.rng.bit_generator.state["bit_generator"]:
             raise ValueError("snapshot was produced with a different PRNG")
         world.rng.bit_generator.state = state
-        world._next_qid = int(doc["next_qid"])
+        world._next_qid = _field(doc, "next_qid", int)
         qids = set()
         for entry in doc["groups"]:
-            handles = [QubitHandle(int(qid), Owner(owner)) for qid, owner in entry["qubits"]]
+            handles = list(map(_handle, entry["qubits"]))
             if not 1 <= len(handles) <= world.max_group_qubits:
                 raise ValueError(f"snapshot group of {len(handles)} qubits is outside "
                                  f"[1, max_group_qubits={world.max_group_qubits}]")

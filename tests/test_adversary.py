@@ -6,6 +6,7 @@ full trial counts.
 """
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -13,15 +14,20 @@ import pytest
 from helpers import state_of
 
 from qcheque.adversary import (
+    ACCOUNT_ID,
+    AMOUNT_UNITS,
     STRATEGIES,
+    _acceptance_probability,
     _clone_pass_probabilities,
     clone_qubit,
     local_tamper,
     run_attack,
     run_honest,
 )
-from qcheque.protocol import Bank, SchemeParams, encode_amount, sign_cheque
-from qcheque.sim import Owner, World, haar_random_qubit
+from qcheque.bits import BitString
+from qcheque.protocol import AcceptancePolicy, Bank, SchemeParams, encode_amount, sign_cheque
+from qcheque.qowf import amount_state_amplitudes, auth_state_amplitudes
+from qcheque.sim import HADAMARD, Owner, World, haar_random_qubit
 from qcheque.stats import within_sigma
 
 SMALL = SchemeParams(ghz_triples=2, auth_qubits=2, key_bits=64, serial_bits=64)
@@ -31,10 +37,12 @@ FORGE = SchemeParams(ghz_triples=2, auth_qubits=2, key_bits=8,
 # sha256 of json.dumps(stats.to_json(), sort_keys=True) for 15 trials at
 # seed 7.  Recorded before the strategies shared one trial loop, so any
 # change to a drawn sample, a verdict, a predicted rate or an extra shows.
+# clone-double-spend was re-pinned when its oracle became closed-form:
+# only its predicted rates moved, in the last digit.
 PINNED_DIGESTS = {
     "honest": "de2fd1031cfe1a34fab433e0cb4a118bbd76c5e1f85a5f75ddee86d9d9501db3",
     "replay": "34da0df7a3273b063749caa5127a0dcfc22d30549735e3b1f22fc3134639c8d8",
-    "clone-double-spend": "3c2e146257c209e837ecbf02e943a7cf5bf8d9db4e8575d739dca130c80024fd",
+    "clone-double-spend": "70e09ebecb477be202c484ea5754abbf3418b06b31c17230dfb98ffdbdb8e1bd",
     "tamper-amount": "a8365b9b870ec89d9573acd162c9fd97cea330a7d4f340a70237e9d31e200ac7",
     "forge-key-guess": "da69daa823686fc4f2905672c6b771dbc1b547096dd3e7821c686502a55b15b5",
     "local-tamper": "d78db6dfb1f4d1700f8c8db7d994ab91ae1e0b9c31fb0345865cc15a7444be52",
@@ -150,17 +158,87 @@ def test_clone_respects_group_ceiling():
     too_big = SchemeParams(ghz_triples=2, auth_qubits=7, key_bits=64, serial_bits=64)
     with pytest.raises(ValueError, match="28 qubits"):
         run_attack("clone-double-spend", too_big, trials=1, seed=0)
-    # Only the oracle runs here: it handles one clone at a time, so no
-    # 24-qubit group is built.
+    # Only the closed-form oracle runs here, so no 24-qubit group is built.
     at_ceiling = SchemeParams(ghz_triples=2, auth_qubits=6, key_bits=64, serial_bits=64)
-    amount_probs, auth_prob = _clone_pass_probabilities(at_ceiling, 0, 42)
+    amount_probs, auth_prob = _clone_pass_probabilities(at_ceiling)
     assert amount_probs == pytest.approx([11.0 / 12.0] * 2, abs=1e-9)
     assert auth_prob == pytest.approx(0.5 * (1.0 + (5.0 / 6.0) ** 6), abs=1e-9)
 
 
+_CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+
+
+def _simulated_clone_pass_probabilities(params):
+    """The clone oracle read off the simulator rather than from algebra.
+
+    One session clones every register of a signed cheque and applies the
+    recovery step in deferred form: Hadamard on the vault qubit, a
+    controlled-Z onto the clone, and a partial trace instead of a
+    measurement.  The reduced density matrix that falls out is the
+    outcome-averaged recovered state, so each swap-test pass chance
+    (1 + <target|rho|target>) / 2 needs no sampling.
+    """
+    world = World(seed=0)
+    book, record = Bank().gen_account(world, ACCOUNT_ID, params)
+    cheque = sign_cheque(world, book, encode_amount(AMOUNT_UNITS))
+
+    amount_probs = []
+    for i, q in enumerate(cheque.amount_qubits, start=1):
+        clone = clone_qubit(world, q).copy
+        vault = record.bank_qubits[i - 1]
+        world.apply_gate(HADAMARD, [vault])
+        world.apply_gate(_CZ, [vault, clone])
+        rho = world.reduced_density([clone])
+        target = np.array(amount_state_amplitudes(cheque.nonce, cheque.amount, i))
+        amount_probs.append(0.5 * (1.0 + float(np.real(np.vdot(target, rho @ target)))))
+
+    pairs = auth_state_amplitudes(record.shared_key, BitString.from_text(ACCOUNT_ID),
+                                  cheque.nonce, cheque.amount, params.auth_qubits)
+    fidelity = 1.0
+    for q, pair in zip(cheque.auth_qubits, pairs):
+        rho = world.reduced_density([clone_qubit(world, q).copy])
+        target = np.array(pair)
+        fidelity *= float(np.real(np.vdot(target, rho @ target)))
+    return amount_probs, 0.5 * (1.0 + fidelity)
+
+
+@pytest.mark.parametrize("ghz_triples, auth_qubits", [(1, 1), (2, 2), (8, 3), (2, 6)])
+def test_closed_form_clone_oracle_matches_the_simulator(ghz_triples, auth_qubits):
+    params = SchemeParams(ghz_triples=ghz_triples, auth_qubits=auth_qubits,
+                          key_bits=64, serial_bits=64)
+    amount_probs, auth_prob = _clone_pass_probabilities(params)
+    want_amount, want_auth = _simulated_clone_pass_probabilities(params)
+    assert len(amount_probs) == ghz_triples
+    assert np.max(np.abs(np.array(amount_probs) - want_amount)) < 1e-12
+    assert abs(auth_prob - want_auth) < 1e-12
+
+
+# kappa2 just above 3/5 is where a rounded copy of the threshold rule
+# would accept 3 of 5 passing amount tests; `decide` needs 4.
+@pytest.mark.parametrize(
+    "policy",
+    [AcceptancePolicy("strict")]
+    + [AcceptancePolicy("threshold", k) for k in (0.6000000000001, 0.75, 0.91, 1.0)],
+    ids=lambda policy: f"{policy.mode}-{policy.kappa2}",
+)
+def test_acceptance_fold_matches_enumeration(policy):
+    rng = np.random.default_rng(12)
+    auth = 0.8
+    for count in range(1, 9):
+        probs = [float(p) for p in rng.uniform(0.05, 0.95, size=count)]
+        want = 0.0
+        for pattern in itertools.product((True, False), repeat=count):
+            if policy.decide(list(pattern)):
+                weight = 1.0
+                for passed, p in zip(pattern, probs):
+                    weight *= p if passed else 1.0 - p
+                want += weight
+        got = _acceptance_probability(policy, probs, auth)
+        assert abs(got - want * auth) < 1e-12, count
+
+
 def test_tamper_amount_matches_analytics():
-    stats = run_attack("tamper-amount", SMALL, trials=400, seed=103,
-                       amount_units=42, tampered_units=43)
+    stats = run_attack("tamper-amount", SMALL, trials=400, seed=103)
     assert within_sigma(stats.empirical_rate, stats.analytic_rate, stats.analytic_sigma)
     assert 0.0 < stats.analytic_rate < 1.0
 

@@ -1,5 +1,6 @@
 """End-to-end issue/sign/deposit behaviour, ledger rules, persistence."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -313,6 +314,14 @@ def test_bank_json_round_trip_preserves_everything():
     assert record.spent and record.destroyed
     # sessions keep counting from where the snapshot left off
     assert restored._session_counter == bank._session_counter
+
+
+def test_bank_with_an_int_threshold_round_trips_byte_identically():
+    # AcceptancePolicy(kappa2=1) writes 1; loading must not turn it into 1.0
+    params = replace(SMALL, policy=AcceptancePolicy("threshold", 1))
+    _, bank, _, _, _ = issue(seed=27, params=params)
+    text = json.dumps(bank.to_json(), sort_keys=True)
+    assert json.dumps(Bank.from_json(json.loads(text)).to_json(), sort_keys=True) == text
 
 
 def test_bank_snapshot_format_checks():
