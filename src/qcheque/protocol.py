@@ -483,6 +483,7 @@ class Bank:
                 f"snapshot signs with {doc.get('signature_bits')!r}-bit preimages, "
                 f"expected {PREIMAGE_BITS}"
             )
+        _field(doc, "signature_bits", int)  # 128.0 compares equal but is not an int
         bank = cls()
         if bank.scheme.identifier != doc.get("signature_scheme"):
             raise ValueError(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitString, frame_fields
+from .sim import _field
 
 __all__ = [
     "PREIMAGE_BITS",
@@ -115,6 +116,7 @@ class LamportSignatureScheme:
             raise ValueError(
                 f"public key has {doc.get('preimage_bits')!r}-bit preimages, expected {PREIMAGE_BITS}"
             )
+        _field(doc, "preimage_bits", int)  # 128.0 compares equal but is not an int
         entries = tuple((bytes.fromhex(a), bytes.fromhex(b)) for a, b in doc["entries"])
         if len(entries) != _DIGEST_BITS:
             raise ValueError("public key has a malformed entry table")

@@ -13,16 +13,25 @@ an operation spans in one balanced product of their amplitude vectors.
 Each distinct gate matrix is checked for unitarity once and kept
 read-only in a bounded memo.
 
-Every measurement is one collapse kernel, ``World._measure``, run with a
-basis and a choice of what happens to the measured qubits.  Computational
-(Z) and Hadamard (X) measurement keep the qubit as a fresh singleton in
-the observed basis state; Bell measurement and ``discard`` (a Z
-measurement) retire the measured qubits for good.  Whatever else shared
+Every measurement is one collapse kernel, ``World._collapse``, run with a
+basis and a uniform.  Computational (Z) and Hadamard (X) measurement keep
+the qubit as a fresh singleton in the observed basis state; Bell
+measurement retires the measured pair for good.  Whatever else shared
 their group keeps the normalised branch, in place.  ``measure_swap``, the
 swap test, is the one measurement outside that kernel: it projects two
 registers onto the symmetric or antisymmetric part of their joint state
 under exchange, an axis permutation of the group tensor, and keeps both
 registers live.
+
+``discard`` retires a qubit at once but defers its collapse, by the
+principle of implicit measurement: a qubit that is never used again may
+be treated as measured at any later time.  It draws its uniform at once,
+so the PRNG stream is unchanged, and queues the qubit on its group.  The
+group collapses its queue, in discard order and with the stored
+uniforms, only when it is next used: ``group_of``, through which every
+gate, merge, measurement and introspection reaches a group, settles it
+first, as do ``to_json`` and ``check_partition`` for every group.  A
+group whose every qubit is discarded is dropped with no arithmetic.
 
 Conventions used throughout the package:
 
@@ -37,7 +46,7 @@ Conventions used throughout the package:
 * States are compared up to global phase everywhere.
 
 Each group's amplitude array is its own, and the collapse kernels write
-their results into it in place: ``_measure`` and ``measure_swap`` build
+their results into it in place: ``_collapse`` and ``measure_swap`` build
 a branch in a per-thread scratch buffer that never escapes the call,
 then write it, normalised, into the front of the group's array.
 
@@ -148,7 +157,7 @@ BELL_STATES: dict[BellOutcome, np.ndarray] = {
 
 
 def _basis(states) -> tuple:
-    """A measurement basis for `World._measure`, from (label, state) pairs.
+    """A measurement basis for `World._collapse`, from (label, state) pairs.
 
     Each entry is (label, flat state, terms), in the fixed order of
     cumulative sampling.  `terms` pairs the index of every nonzero
@@ -175,13 +184,16 @@ _UNITARY_TOL = 1e-9
 class StateGroup:
     """One connected component of the world: an ordered qubit list plus
     a dense amplitude vector of length 2**len(qubits).  `amps` may be a
-    view of the front of a wider buffer the group held before."""
+    view of the front of a wider buffer the group held before.
+    `pending` lists the (handle, uniform) of each discarded qubit still
+    in `qubits`, in discard order, until the group is settled."""
 
-    __slots__ = ("qubits", "amps")
+    __slots__ = ("qubits", "amps", "pending")
 
     def __init__(self, qubits: list[QubitHandle], amps: np.ndarray):
         self.qubits = qubits
         self.amps = amps
+        self.pending: list[tuple[QubitHandle, float]] = []
 
     @property
     def n_qubits(self) -> int:
@@ -318,10 +330,23 @@ class World:
         return handle in self._index
 
     def group_of(self, handle: QubitHandle) -> StateGroup:
+        """The group holding a live qubit, with its pending discards settled."""
         try:
-            return self._index[handle]
+            group = self._index[handle]
         except KeyError:
             raise ValueError(f"unknown or retired qubit handle {handle!r}") from None
+        if group.pending:
+            self._settle(group)
+        return group
+
+    def _settle(self, group: StateGroup) -> None:
+        """Collapse a group's pending discards in discard order.  Each entry
+        leaves the list only once its collapse has succeeded, so a refused
+        collapse leaves the group and its list as they were."""
+        while group.pending:
+            q, u = group.pending[0]
+            self._collapse(group, [q], _Z_BASIS, u)
+            del group.pending[0]
 
     @property
     def qubit_count(self) -> int:
@@ -411,12 +436,22 @@ class World:
         return self._measure([q1, q2], _BELL_BASIS, retire=True)
 
     def discard(self, q: QubitHandle) -> None:
-        """Measure a qubit out and retire its handle.
+        """Retire a qubit's handle; its Z measurement is deferred.
 
-        Used to destroy cheque registers after verification and to clean
-        up scratch ancillas; unknown handles raise.
+        The uniform of that measurement is drawn at once and queued with
+        the qubit on its group, which collapses only when it is next used:
+        `group_of`, `to_json` and `check_partition` settle it.  When a
+        group's last live qubit is discarded the group is dropped with no
+        arithmetic.  Used to destroy cheque registers after verification
+        and to clean up scratch ancillas; unknown handles raise.
         """
-        self._measure([q], _Z_BASIS, retire=True)
+        try:
+            group = self._index.pop(q)
+        except KeyError:
+            raise ValueError(f"unknown or retired qubit handle {q!r}") from None
+        group.pending.append((q, self.rng.random()))
+        if len(group.pending) == group.n_qubits:
+            self._groups.remove(group)
 
     def measure_swap(self, register_a, register_b) -> bool:
         """Swap-test measurement of two equal-length registers.
@@ -465,25 +500,40 @@ class World:
         return passed
 
     def _measure(self, targets: list[QubitHandle], basis, retire: bool):
-        """Born-rule measurement of `targets` in a basis built by `_basis`.
-
-        One uniform is drawn and the branches are projected out in basis
-        order until their running probability exceeds it, so later
-        branches cost nothing.  The normalised residual is written into
-        the front of the group's own buffer; the targets are then retired,
-        or re-adopted as a fresh group holding the chosen basis state.
-        Returns the label.
-        """
+        """Born-rule measurement of `targets` in a basis built by `_basis`,
+        with one uniform drawn now.  The targets are then retired, or
+        re-adopted as a fresh group holding the chosen basis state.
+        Returns the label."""
         if len(set(targets)) != len(targets):
             raise ValueError("measured qubits must be distinct")
         group = self._merged_group_for(targets)
+        label, state = self._collapse(group, targets, basis, self.rng.random())
+        if retire:
+            for t in targets:
+                del self._index[t]
+        else:
+            fresh = StateGroup(list(targets), state.copy())
+            self._groups.append(fresh)
+            for t in targets:
+                self._index[t] = fresh
+        return label
+
+    def _collapse(self, group: StateGroup, targets: list[QubitHandle], basis, u: float):
+        """Project `targets` out of `group` onto the branch that uniform `u`
+        picks; return its (label, flat basis state).
+
+        The branches are projected out in basis order until their running
+        probability exceeds `u`, so later branches cost nothing.  The
+        normalised residual is written into the front of the group's own
+        buffer and the targets leave its qubit list; a group left empty
+        leaves the world.  A zero branch raises before anything changes.
+        """
         k = len(targets)
         positions = [group.position(t) for t in targets]
         psi = group.amps.reshape((2,) * group.n_qubits).transpose(_front(positions, group.n_qubits))
         size = group.amps.size >> k
         kept = _scratch(size)
         branch = kept.reshape((2,) * (group.n_qubits - k))
-        u = self.rng.random()
         acc = 0.0
         for label, state, terms in basis:
             (index, amp), *rest = terms
@@ -503,15 +553,7 @@ class World:
             group.amps = np.multiply(kept, 1.0 / norm, out=group.amps[:size])
         else:
             self._groups.remove(group)
-        if retire:
-            for t in targets:
-                del self._index[t]
-        else:
-            fresh = StateGroup(list(targets), state.copy())
-            self._groups.append(fresh)
-            for t in targets:
-                self._index[t] = fresh
-        return label
+        return label, state
 
     # ------------------------------------------------------------------
     # introspection (analysis only, never on a decision path)
@@ -550,7 +592,9 @@ class World:
         return groups
 
     def check_partition(self) -> None:
-        """Assert the group partition invariant; raises on violation."""
+        """Settle every group, then assert the group partition invariant;
+        raises on violation."""
+        self._settle_all()
         seen: set[QubitHandle] = set()
         for g in self._groups:
             if not 1 <= g.n_qubits <= self.max_group_qubits:
@@ -573,7 +617,12 @@ class World:
     # persistence
     # ------------------------------------------------------------------
 
+    def _settle_all(self) -> None:
+        for g in self._groups:
+            self._settle(g)
+
     def to_json(self) -> dict:
+        self._settle_all()
         groups = []
         for g in self._groups:
             groups.append(

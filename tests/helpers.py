@@ -21,8 +21,23 @@ def state_of(world, register) -> np.ndarray:
 
 
 def handles(world) -> list:
-    """All live handles of a world, in group order."""
-    return [q for g in world._groups for q in g.qubits]
+    """All live handles of a world, in group order; a discarded qubit
+    stays in its group's qubit list until the group is settled."""
+    return [q for g in world._groups for q in g.qubits if q in world]
+
+
+def collapse_widths(world) -> list:
+    """A list that grows by the group width of every collapse the world
+    runs from now on."""
+    widths = []
+    collapse = world._collapse
+
+    def counted(group, targets, basis, u):
+        widths.append(group.n_qubits)
+        return collapse(group, targets, basis, u)
+
+    world._collapse = counted
+    return widths
 
 
 def haar_random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:

@@ -202,6 +202,14 @@ def _short_preimages(doc):
     doc["bank"]["records"][0]["public_key"]["preimage_bits"] = 64
 
 
+def _preimage_bits_as_float(doc):
+    doc["bank"]["records"][0]["public_key"]["preimage_bits"] = 128.0
+
+
+def _signature_bits_as_float(doc):
+    doc["bank"]["signature_bits"] = 128.0
+
+
 def _kappa2_as_bool(doc):
     doc["bank"]["records"][0]["params"]["policy"]["kappa2"] = True
 
@@ -241,7 +249,8 @@ def _fractional_group_qubit_id(doc):
      _signature_bits_below_minimum, _insecure_flag_as_text, _fractional_triple_count,
      _spent_flag_as_text, _short_preimages, _kappa2_as_bool, _fractional_cheque_qubit_id,
      _cheque_qubit_id_as_text, _fractional_vault_qubit_id, _fractional_transcript_seq,
-     _next_qid_as_text, _fractional_group_ceiling, _fractional_group_qubit_id],
+     _next_qid_as_text, _fractional_group_ceiling, _fractional_group_qubit_id,
+     _preimage_bits_as_float, _signature_bits_as_float],
 )
 def test_malformed_snapshot_is_a_file_error(corrupt, tmp_path):
     scenario = tmp_path / "scenario.json"

@@ -4,7 +4,7 @@ import json
 from dataclasses import replace
 
 import pytest
-from helpers import flip, messages_in_session
+from helpers import collapse_widths, flip, messages_in_session
 
 from qcheque.bits import BitString
 from qcheque.protocol import (
@@ -134,6 +134,17 @@ def test_default_deposit_fits_sixteen_qubit_groups():
     book, _ = bank.gen_account(world, "alice", SchemeParams())
     cheque = sign_cheque(world, book, encode_amount(42))
     assert bank.verify_cheque(world, cheque).accepted
+
+
+def test_deposit_collapses_only_the_recovery_pairs():
+    # every register a deposit discards is dropped, not collapsed: the
+    # only collapses are the recovery X measurements, one per 2-qubit
+    # triple remnant, and the 16-qubit authentication group costs nothing
+    world, bank, _, _, cheque = issue(seed=22, params=SchemeParams())
+    widths = collapse_widths(world)
+    assert bank.verify_cheque(world, cheque).accepted
+    assert widths and max(widths) <= 2
+    assert world.qubit_count == 0 and world._groups == []
 
 
 def test_transcript_logs_one_recovery_per_triple():

@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from helpers import handles, haar_random_unitary, state_of
+from helpers import collapse_widths, handles, haar_random_unitary, state_of
 
 from qcheque.sim import (
     _BELL_BASIS,
@@ -375,10 +375,19 @@ def test_zero_branch_is_refused(measure):
     group = world.group_of(a)
     group.amps = np.zeros(8, dtype=complex)  # a corrupt state
     targets = {"measure_bell": [a, b], "measure_swap": [[a], [b]]}.get(measure, [a])
-    with pytest.raises(RuntimeError, match="zero branch"):
-        getattr(world, measure)(*targets)
+    if measure == "discard":
+        # the collapse is deferred, so the refusal comes when the group
+        # is next used, and the discard stays queued
+        world.discard(a)
+        with pytest.raises(RuntimeError, match="zero branch"):
+            world.group_of(c)
+        assert [q for q, _ in group.pending] == [a]
+    else:
+        with pytest.raises(RuntimeError, match="zero branch"):
+            getattr(world, measure)(*targets)
+        assert world.group_of(c) is group
     # refused before anything is written: a scale by 1/0 would leave NaNs
-    assert world.group_of(c) is group and group.qubits == [a, b, c]
+    assert group.qubits == [a, b, c]
     assert np.array_equal(group.amps, np.zeros(8))
 
 
@@ -860,3 +869,108 @@ def test_threads_match_sequential_runs():
         t.join()
     assert threaded == sequential
 
+
+# ----------------------------------------------------------------------
+# deferred discard: a discard queues its qubit and uniform on the group,
+# which collapses only when it is next used
+# ----------------------------------------------------------------------
+
+
+def _checkpoint(world, twin, rng, live):
+    """One operation that settles the groups it reaches, run on both
+    worlds; returns the qubits it retired."""
+    kind = ["apply_gate", "measure_swap", "measure_bell", "reduced_density",
+            "to_json", "check_partition"][int(rng.integers(6))]
+    pick = [live[i] for i in rng.permutation(len(live))]
+    if kind == "apply_gate":
+        targets = pick[:int(rng.integers(1, 3))]
+        gate = haar_random_unitary(rng, 2 ** len(targets))
+        for w in (world, twin):
+            w.apply_gate(gate, targets)
+    elif kind == "measure_swap" and len(pick) >= 2:
+        w = min(len(pick) // 2, int(rng.integers(1, 3)))
+        assert world.measure_swap(pick[:w], pick[w:2 * w]) == twin.measure_swap(pick[:w], pick[w:2 * w])
+    elif kind == "measure_bell" and len(pick) >= 2:
+        assert world.measure_bell(*pick[:2]) == twin.measure_bell(*pick[:2])
+        return pick[:2]
+    elif kind == "reduced_density":
+        subset = pick[:int(rng.integers(1, 3))]
+        assert np.array_equal(world.reduced_density(subset), twin.reduced_density(subset))
+    elif kind in ("to_json", "check_partition"):
+        getattr(world, kind)()
+        getattr(twin, kind)()
+    return []
+
+
+def _assert_matches_eager_twin(world, twin):
+    """Every live group and its amplitudes bit for bit, and the PRNGs at
+    the same position; the twin also holds each discarded qubit as a
+    measured singleton."""
+    assert world.rng.bit_generator.state == twin.rng.bit_generator.state
+    live = handles(world)
+    for q in live:
+        mine, theirs = world.group_of(q), twin.group_of(q)
+        assert mine.qubits == theirs.qubits
+        assert np.array_equal(mine.amps, theirs.amps)
+    groups = {id(twin.group_of(q)) for q in live}
+    assert len(world._groups) == len(groups)
+    world.check_partition()
+
+
+def test_deferred_discard_matches_eager_twin():
+    # random programs of gates, measurements, allocations and discards;
+    # the twin measures where the world discards, and the two are
+    # compared only at random checkpoints, so discards queue up between them
+    queued, dropped = 0, 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        world = World(seed=seed)
+        live = [q for _ in range(3) for q in _random_group(world, rng, int(rng.integers(1, 4)))[0]]
+        twin = World.from_json(world.to_json())
+        widths = collapse_widths(world)
+        for _ in range(60):
+            step = rng.random()
+            if step < 0.4 and live:
+                q = live.pop(int(rng.integers(len(live))))
+                group, collapses = world._index[q], len(widths)
+                world.discard(q)
+                twin.measure_computational(q)
+                assert len(widths) == collapses  # a discard does no arithmetic
+                queued = max(queued, len(group.pending))
+                if group not in world._groups:
+                    dropped += 1
+            elif step < 0.55 or len(live) < 2:
+                amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+                amps /= np.linalg.norm(amps)
+                new = world.allocate_group([Owner.ALICE] * 2, amps)
+                assert twin.allocate_group([Owner.ALICE] * 2, amps) == new
+                live += new
+            elif step < 0.75:
+                q, r = (live[i] for i in rng.permutation(len(live))[:2])
+                gate = haar_random_unitary(rng, 4)
+                world.apply_gate(gate, [q, r])
+                twin.apply_gate(gate, [q, r])
+            else:
+                for q in _checkpoint(world, twin, rng, live):
+                    live.remove(q)
+                _assert_matches_eager_twin(world, twin)
+        _assert_matches_eager_twin(world, twin)
+    assert queued >= 3 and dropped >= 10
+
+
+def test_fully_discarded_group_is_dropped_without_collapse():
+    world = World(seed=5)
+    rng = np.random.default_rng(5)
+    qs, _ = _random_group(world, rng, 4)
+    keep = world.allocate(Owner.BANK)
+    widths = collapse_widths(world)
+    group = world.group_of(qs[0])
+    for q in qs:
+        world.discard(q)
+        assert q not in world
+    assert widths == [] and group not in world._groups
+    assert world.qubit_count == 1 and handles(world) == [keep]
+    reference = np.random.default_rng(5)  # one uniform drawn per discard
+    reference.random(len(qs))
+    assert world.rng.bit_generator.state == reference.bit_generator.state
+    world.check_partition()
