@@ -31,6 +31,8 @@ _DIGEST_BITS = 256
 # Length of every secret preimage; snapshots record it and refuse any other.
 PREIMAGE_BITS = 128
 _PREIMAGE_BYTES = PREIMAGE_BITS // 8
+_SIGNATURE_BYTES = _PREIMAGE_BYTES * _DIGEST_BITS
+_HASH_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class KeyPair:
 
 def _message_digest_bits(message: BitString) -> list[int]:
     digest = hashlib.sha256(frame_fields(message)).digest()
-    return [(byte >> k) & 1 for byte in digest for k in range(7, -1, -1)]
+    return np.unpackbits(np.frombuffer(digest, dtype=np.uint8)).tolist()
 
 
 class LamportSignatureScheme:
@@ -83,20 +85,19 @@ class LamportSignatureScheme:
             raise ValueError("one-time secret key has already signed a message")
         bits = _message_digest_bits(message)
         secret_key.used = True
-        return b"".join(secret_key.entries[i][b] for i, b in enumerate(bits))
+        return b"".join([pair[b] for pair, b in zip(secret_key.entries, bits)])
 
     def verify(self, public_key: LamportPublicKey, message: BitString, signature: bytes) -> bool:
         """Total verification: malformed input yields False, never an exception."""
         if not isinstance(public_key, LamportPublicKey):
             return False
-        if not isinstance(signature, (bytes, bytearray)) or len(signature) != _PREIMAGE_BYTES * _DIGEST_BITS:
+        if not isinstance(signature, (bytes, bytearray)) or len(signature) != _SIGNATURE_BYTES:
             return False
-        bits = _message_digest_bits(message)
-        for i, b in enumerate(bits):
-            preimage = bytes(signature[i * _PREIMAGE_BYTES : (i + 1) * _PREIMAGE_BYTES])
-            if hashlib.sha256(preimage).digest() != public_key.entries[i][b]:
-                return False
-        return True
+        sha256 = hashlib.sha256
+        revealed = b"".join([sha256(signature[i : i + _PREIMAGE_BYTES]).digest()
+                             for i in range(0, _SIGNATURE_BYTES, _PREIMAGE_BYTES)])
+        expected = b"".join([pair[b] for pair, b in zip(public_key.entries, _message_digest_bits(message))])
+        return revealed == expected
 
     # serialization, used by bank database snapshots
 
@@ -118,6 +119,8 @@ class LamportSignatureScheme:
             )
         _field(doc, "preimage_bits", int)  # 128.0 compares equal but is not an int
         entries = tuple((bytes.fromhex(a), bytes.fromhex(b)) for a, b in doc["entries"])
-        if len(entries) != _DIGEST_BITS:
+        # verify compares all selected entries joined, which is the
+        # per-entry comparison only while every entry is one digest long
+        if len(entries) != _DIGEST_BITS or any(len(h) != _HASH_BYTES for pair in entries for h in pair):
             raise ValueError("public key has a malformed entry table")
         return LamportPublicKey(entries)

@@ -207,13 +207,20 @@ class StateGroup:
 
 
 def _check_state_vector(vec: np.ndarray, dim: int) -> float:
-    """Raise unless `vec` holds `dim` finite amplitudes of unit norm; return the norm."""
+    """Raise unless `vec` holds `dim` finite amplitudes of unit norm; return the norm.
+
+    The norm is `np.linalg.norm`'s own formula for a complex vector, so it
+    is bit-identical.  A NaN or infinite amplitude makes it NaN or inf and
+    fails the one comparison; only then are the amplitudes scanned, to say
+    which check failed.
+    """
     if vec.shape != (dim,):
         raise ValueError(f"expected {dim} amplitudes, got {vec.shape}")
-    if not np.all(np.isfinite(vec.view(np.float64))):
-        raise ValueError("amplitudes must be finite")
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > _NORM_TOL:
+    re, im = vec.real, vec.imag
+    norm = np.sqrt(re.dot(re) + im.dot(im))
+    if not abs(norm - 1.0) <= _NORM_TOL:
+        if not np.all(np.isfinite(vec.view(np.float64))):
+            raise ValueError("amplitudes must be finite")
         raise ValueError(f"state vector norm {norm!r} is not 1")
     return norm
 

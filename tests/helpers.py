@@ -55,7 +55,8 @@ def messages_in_session(bank, session: int, payload_type: str | None = None) -> 
 
 
 def flip(bits: BitString, index: int) -> BitString:
-    """A copy of `bits` with one bit inverted."""
-    new = list(bits.bits)
-    new[index] ^= 1
-    return BitString(tuple(new))
+    """A copy of `bits` with bit `index`, counted from the most significant,
+    inverted."""
+    if not 0 <= index < len(bits):
+        raise IndexError(f"bit {index} of a {len(bits)}-bit string")
+    return BitString(len(bits), bits.value ^ (1 << (len(bits) - 1 - index)))

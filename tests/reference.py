@@ -1,4 +1,6 @@
-"""A flat statevector simulator, the differential oracle for `qcheque.sim`.
+"""Reference implementations, the differential oracles for the package.
+
+`FlatWorld` is a flat statevector simulator, the oracle for `qcheque.sim`.
 
 One dense tensor holds every live qubit, one axis each; there are no
 groups and no merges.  It keeps the conventions of `World` written out
@@ -8,10 +10,19 @@ probability exceeds it, and the swap test is the textbook circuit (an
 ancilla in |+>, one Fredkin gate per qubit pair, the ancilla read out in
 the X basis and then discarded), whose discard draws the second uniform.
 Only the outcome labels come from the package.
+
+`TupleBitString` and `tuple_frame_fields` are the bit-tuple form of
+`qcheque.bits`, one Python int per bit, and `loop_verify` is Lamport
+verification one digest position at a time, stopping at the first
+mismatch; `qcheque.bits` and `qcheque.signatures` must agree with them.
 """
+
+import hashlib
+from dataclasses import dataclass
 
 import numpy as np
 
+from qcheque.signatures import LamportPublicKey
 from qcheque.sim import BellOutcome, HadamardOutcome
 
 _R = 1 / np.sqrt(2.0)
@@ -80,3 +91,70 @@ class FlatWorld:
     def state(self) -> np.ndarray:
         """The state tensor with its axes in ascending qubit id."""
         return self.psi.transpose(np.argsort(self.qids))
+
+
+@dataclass(frozen=True)
+class TupleBitString:
+    """A bit string as a tuple of 0 and 1, most significant bit first."""
+
+    bits: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if any(b not in (0, 1) for b in self.bits):
+            raise ValueError("BitString entries must be 0 or 1")
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def __str__(self) -> str:
+        return "".join(str(b) for b in self.bits)
+
+    @classmethod
+    def from_text(cls, text: str) -> "TupleBitString":
+        return cls.from_bytes(text.encode("utf-8"))
+
+    @classmethod
+    def from_bytes(cls, raw: bytes) -> "TupleBitString":
+        return cls(tuple((byte >> k) & 1 for byte in raw for k in range(7, -1, -1)))
+
+    @classmethod
+    def from_int(cls, value: int, width: int) -> "TupleBitString":
+        if value < 0 or value >= (1 << width):
+            raise ValueError(f"{value} does not fit in {width} bits")
+        return cls(tuple((value >> k) & 1 for k in range(width - 1, -1, -1)))
+
+    @classmethod
+    def from_binary_text(cls, text: str) -> "TupleBitString":
+        return cls(tuple({"0": 0, "1": 1}[c] for c in text))
+
+    @classmethod
+    def random(cls, rng: np.random.Generator, nbits: int) -> "TupleBitString":
+        if nbits < 1:
+            raise ValueError("nbits must be positive")
+        return cls(tuple(int(b) for b in rng.integers(0, 2, size=nbits)))
+
+    def to_bytes(self) -> bytes:
+        packed = bytearray((len(self.bits) + 7) // 8)
+        for i, b in enumerate(self.bits):
+            packed[i // 8] |= b << (7 - i % 8)
+        return bytes(packed)
+
+
+def tuple_frame_fields(*fields) -> bytes:
+    return b"".join(len(f).to_bytes(4, "big") + f.to_bytes() for f in fields)
+
+
+def loop_verify(public_key, message, signature) -> bool:
+    """Lamport verification of `signature` on the `qcheque.bits.BitString`
+    `message`, one digest bit at a time."""
+    if not isinstance(public_key, LamportPublicKey):
+        return False
+    if not isinstance(signature, (bytes, bytearray)) or len(signature) != 16 * 256:
+        return False
+    digest = hashlib.sha256(tuple_frame_fields(message)).digest()
+    for i in range(256):
+        bit = (digest[i // 8] >> (7 - i % 8)) & 1
+        preimage = bytes(signature[16 * i : 16 * (i + 1)])
+        if hashlib.sha256(preimage).digest() != public_key.entries[i][bit]:
+            return False
+    return True

@@ -266,6 +266,29 @@ def test_malformed_snapshot_is_a_file_error(corrupt, tmp_path):
     assert not resaved.exists()
 
 
+# int() reads every Unicode decimal digit, so a bit field written in other
+# digits would load, and re-save in ASCII: not the document that was read.
+@pytest.mark.parametrize("digits", ["\u0660\u0661", "\uff10\uff11"], ids=["arabic-indic", "fullwidth"])
+@pytest.mark.parametrize(
+    "section, key",
+    [("cheque", "serial"), ("cheque", "nonce"), ("cheque", "amount"),
+     ("record", "serial"), ("record", "shared_key")],
+)
+def test_bit_field_in_non_ascii_digits_is_a_file_error(section, key, digits, tmp_path):
+    scenario = tmp_path / "scenario.json"
+    proc = run_cli("snapshot", *FAST, "--seed", "9", "--snapshot", str(scenario))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(scenario.read_text())
+    fields = doc["cheque"] if section == "cheque" else doc["bank"]["records"][0]
+    fields[key] = fields[key].translate(str.maketrans("01", digits))
+    scenario.write_text(json.dumps(doc))
+    resaved = tmp_path / "resaved.json"
+    proc = run_cli("restore", "--snapshot", str(scenario), "--out", str(resaved))
+    assert proc.returncode == 3, proc.stderr
+    assert "'0' and '1'" in proc.stderr and "Traceback" not in proc.stderr
+    assert not resaved.exists()
+
+
 def _empty_group(world):
     world["groups"].append({"qubits": [], "amplitudes": [[1.0, 0.0]]})
 

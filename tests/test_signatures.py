@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from helpers import flip
+from reference import loop_verify
 
 from qcheque.bits import BitString
 from qcheque.signatures import LamportSignatureScheme
@@ -115,3 +116,41 @@ def test_cross_key_verification_fails():
     message = BitString.from_text("serial")
     signature = scheme.sign(pair_a.secret, message)
     assert not scheme.verify(pair_b.public, message, signature)
+
+
+def test_verify_matches_the_per_bit_loop():
+    scheme, pair = keypair(seed=21)
+    message = BitString.from_text("serial-0042")
+    signature = scheme.sign(pair.secret, message)
+    _, other = keypair(seed=22)
+    rng = np.random.default_rng(5)
+    cases = [
+        (pair.public, message, signature),
+        (pair.public, message, bytearray(signature)),
+        (pair.public, message, signature[:-1]),
+        (pair.public, message, signature + b"\x00"),
+        (pair.public, message, b""),
+        (pair.public, flip(message, 3), signature),
+        (pair.public, BitString.from_text("serial-0043"), signature),
+        (other.public, message, signature),
+        (pair.public.entries, message, signature),
+        (None, message, signature),
+    ]
+    for _ in range(64):
+        corrupt = bytearray(signature)
+        corrupt[int(rng.integers(len(corrupt)))] ^= int(rng.integers(1, 256))
+        cases.append((pair.public, message, bytes(corrupt)))
+    verdicts = [scheme.verify(*case) for case in cases]
+    assert verdicts == [loop_verify(*case) for case in cases]
+    assert verdicts[:2] == [True, True] and not any(verdicts[2:])
+
+
+def test_public_key_json_refuses_entries_that_are_not_digests():
+    # verify compares the selected entries joined end to end, which is the
+    # per-entry comparison only while every entry is one 32-byte digest
+    scheme, pair = keypair()
+    doc = scheme.public_key_to_json(pair.public)
+    a, b = doc["entries"][0]
+    doc["entries"][0], doc["entries"][1][0] = [a[:-2], b], doc["entries"][1][0] + a[-2:]
+    with pytest.raises(ValueError, match="malformed entry table"):
+        scheme.public_key_from_json(doc)

@@ -20,6 +20,7 @@ from qcheque.sim import (
     Owner,
     StateGroup,
     World,
+    _check_state_vector,
     _check_unitary,
     _validated_gate,
     haar_random_qubit,
@@ -619,6 +620,36 @@ def test_partition_check_flags_group_size_outside_ceiling(case):
         world.max_group_qubits = 1
     with pytest.raises(AssertionError, match="qubits is outside"):
         world.check_partition()
+
+
+def test_state_vector_norm_is_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(71)
+    for n in range(1, 13):
+        for _ in range(4):
+            vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            vec /= np.linalg.norm(vec)
+            norm = _check_state_vector(vec, 2**n)
+            assert type(norm) is np.float64
+            assert norm.tobytes() == np.linalg.norm(vec).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_state_vector_with_non_finite_amplitude_is_refused(bad, part):
+    vec = np.array([0.6, 0.8j, 0, 0], dtype=complex)
+    vec[2] = complex(bad, 0) if part == "real" else complex(0, bad)
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        _check_state_vector(vec, 4)
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        World(seed=0).allocate_group([Owner.ALICE] * 2, vec)
+
+
+def test_unnormalised_state_vector_is_refused():
+    for vec in ([1.2, 1.6], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="is not 1"):
+            _check_state_vector(np.array(vec, dtype=complex), 2)
+        with pytest.raises(ValueError, match="is not 1"):
+            World(seed=0).allocate(Owner.ALICE, vec)
 
 
 # ----------------------------------------------------------------------
