@@ -36,7 +36,7 @@ from enum import Enum
 from .bits import BitString
 from .qowf import prepare_amount_state, prepare_auth_state
 from .signatures import PREIMAGE_BITS, LamportSignatureScheme
-from .sim import Owner, QubitHandle, World, _field, _handle
+from .sim import Owner, QubitHandle, World, _field, _handle, _hex
 from .swaptest import swap_test
 from .teleport import GhzTriple, encode_qubit, prepare_ghz, recover_qubit
 
@@ -220,7 +220,7 @@ class QuantumCheque:
             serial=BitString.from_binary_text(doc["serial"]),
             nonce=BitString.from_binary_text(doc["nonce"]),
             amount=BitString.from_binary_text(doc["amount"]),
-            signature=bytes.fromhex(doc["signature"]),
+            signature=_hex(doc["signature"], "signature"),
             amount_qubits=tuple(map(_handle, doc["amount_qubits"])),
             auth_qubits=tuple(map(_handle, doc["auth_qubits"])),
         )

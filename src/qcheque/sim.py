@@ -23,15 +23,24 @@ registers onto the symmetric or antisymmetric part of their joint state
 under exchange, an axis permutation of the group tensor, and keeps both
 registers live.
 
-``discard`` retires a qubit at once but defers its collapse, by the
-principle of implicit measurement: a qubit that is never used again may
-be treated as measured at any later time.  It draws its uniform at once,
-so the PRNG stream is unchanged, and queues the qubit on its group.  The
-group collapses its queue, in discard order and with the stored
-uniforms, only when it is next used: ``group_of``, through which every
-gate, merge, measurement and introspection reaches a group, settles it
-first, as do ``to_json`` and ``check_partition`` for every group.  A
-group whose every qubit is discarded is dropped with no arithmetic.
+Work that nothing may observe yet is deferred until a group is next
+used.  ``discard`` retires a qubit at once but defers its collapse, by
+the principle of implicit measurement: a qubit that is never used again
+may be treated as measured at any later time.  It draws its uniform at
+once, so the PRNG stream is unchanged, and queues the qubit on its
+group.  ``measure_swap`` draws its verdict from blocks, the groups the
+registers touch joined wherever a pair links two of them, since both of
+the norms it needs are products over blocks (Buhrman, Cleve, Watrous and
+de Wolf, *Quantum fingerprinting*, 2001).  The joint branch it projects
+onto is left pending on the group that now holds both registers.  A
+group settles, building its pending branch and then collapsing its
+discards in discard order with the stored uniforms, only when it is next
+used: ``group_of``, through which every gate, merge, measurement and
+introspection reaches a group, settles it first, as do ``to_json`` and
+``check_partition`` for every group.  Settling runs the arithmetic the
+eager operation would have run, so the amplitudes are the same bit for
+bit.  A group whose every qubit is discarded is dropped with no
+arithmetic, so a deposit never builds its wide swap-test state.
 
 Conventions used throughout the package:
 
@@ -46,9 +55,9 @@ Conventions used throughout the package:
 * States are compared up to global phase everywhere.
 
 Each group's amplitude array is its own, and the collapse kernels write
-their results into it in place: ``_collapse`` and ``measure_swap`` build
-a branch in a per-thread scratch buffer that never escapes the call,
-then write it, normalised, into the front of the group's array.
+their results into it in place: ``_collapse`` and ``_build_branch``
+build a branch in a per-thread scratch buffer that never escapes the
+call, then write it, normalised, into the front of the group's array.
 
 ``reduced_density`` is an introspection tool for analysis: the selftest
 and the tests read states with it.  Protocol decision paths must only
@@ -128,6 +137,18 @@ def _field(doc: dict, key, kinds):
     return value
 
 
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def _hex(value, name: str) -> bytes:
+    """The bytes a snapshot's hex field spells, read only in the lower-case
+    form that `bytes.hex` writes: `bytes.fromhex` alone also takes upper
+    case and whitespace, which load a document that saves differently."""
+    if type(value) is not str or len(value) % 2 or not _HEX_DIGITS.issuperset(value):
+        raise ValueError(f"{name} must be lower-case hex, got {value!r:.40}")
+    return bytes.fromhex(value)
+
+
 def _handle(pair) -> QubitHandle:
     """A snapshot's ``[qid, owner]`` pair as a handle."""
     qid, owner = pair
@@ -185,15 +206,22 @@ class StateGroup:
     """One connected component of the world: an ordered qubit list plus
     a dense amplitude vector of length 2**len(qubits).  `amps` may be a
     view of the front of a wider buffer the group held before.
-    `pending` lists the (handle, uniform) of each discarded qubit still
-    in `qubits`, in discard order, until the group is settled."""
 
-    __slots__ = ("qubits", "amps", "pending")
+    Two kinds of work may wait on a group until it is settled.
+    `projection`, when not None, is a swap test's pending branch, held
+    in place of amplitudes (`amps` is None): the (factors, pairs, passed)
+    that `World._build_branch` turns into the normalised branch, where
+    the factors' product, in order, is the group's state before the test.
+    `pending` lists the (handle, uniform) of each qubit discarded since,
+    still in `qubits`, in discard order."""
 
-    def __init__(self, qubits: list[QubitHandle], amps: np.ndarray):
+    __slots__ = ("qubits", "amps", "pending", "projection")
+
+    def __init__(self, qubits: list[QubitHandle], amps: np.ndarray | None):
         self.qubits = qubits
         self.amps = amps
         self.pending: list[tuple[QubitHandle, float]] = []
+        self.projection: tuple | None = None
 
     @property
     def n_qubits(self) -> int:
@@ -274,6 +302,41 @@ def _scratch(size: int) -> np.ndarray:
     return buf[:size]
 
 
+def _swap_axes(qubits: list[QubitHandle], pairs) -> list[int]:
+    """The axis permutation of a tensor over `qubits` that exchanges the
+    two qubits of each pair."""
+    axes = list(range(len(qubits)))
+    for a, b in pairs:
+        i, j = qubits.index(a), qubits.index(b)
+        axes[i], axes[j] = j, i
+    return axes
+
+
+def _blocks(groups: list[StateGroup], links, pairs) -> list[tuple[list[StateGroup], list]]:
+    """Split `groups` into blocks, the components that `links` join, where
+    each link is the pair of groups holding the two qubits of the pair at
+    the same place in `pairs`; return each block's groups with its pairs.
+    A block that holds every group is `groups` itself, in its order.  A
+    swap test's two norms are products over these blocks."""
+    if len(pairs) == 1:
+        return [(groups, pairs)]
+    block_of = {g: [g] for g in groups}
+    for group_a, group_b in links:
+        block_a, block_b = block_of[group_a], block_of[group_b]
+        if block_a is not block_b:
+            block_a += block_b
+            for g in block_b:
+                block_of[g] = block_a
+    blocks: dict[int, tuple[list[StateGroup], list]] = {}
+    for (g, _), pair in zip(links, pairs):
+        block = block_of[g]
+        if id(block) in blocks:
+            blocks[id(block)][1].append(pair)
+        else:
+            blocks[id(block)] = (block, [pair])
+    return list(blocks.values()) if len(blocks) > 1 else [(groups, pairs)]
+
+
 def _front(positions: list[int], n: int) -> list[int]:
     """The axis permutation that moves `positions`, in order, to the front
     of an n-axis tensor and keeps the other axes in their order."""
@@ -337,19 +400,24 @@ class World:
         return handle in self._index
 
     def group_of(self, handle: QubitHandle) -> StateGroup:
-        """The group holding a live qubit, with its pending discards settled."""
+        """The group holding a live qubit, settled: its pending swap-test
+        branch built and its pending discards collapsed."""
         try:
             group = self._index[handle]
         except KeyError:
             raise ValueError(f"unknown or retired qubit handle {handle!r}") from None
-        if group.pending:
+        if group.pending or group.projection is not None:
             self._settle(group)
         return group
 
     def _settle(self, group: StateGroup) -> None:
-        """Collapse a group's pending discards in discard order.  Each entry
-        leaves the list only once its collapse has succeeded, so a refused
-        collapse leaves the group and its list as they were."""
+        """Build a group's pending swap-test branch, which came first, then
+        collapse its pending discards in discard order.  The projection
+        and each discard leave the group only once their arithmetic has
+        succeeded, so a refused branch or collapse leaves the group as it
+        was."""
+        if group.projection is not None:
+            self._build_branch(group)
         while group.pending:
             q, u = group.pending[0]
             self._collapse(group, [q], _Z_BASIS, u)
@@ -397,19 +465,28 @@ class World:
         """Replace `groups` by one group, last in `_groups`, whose qubits are
         theirs in order.  A merge over the ceiling is refused before
         anything changes."""
+        merged = StateGroup(self._joined(groups), _product([g.amps for g in groups]))
+        self._replace(groups, merged)
+        return merged
+
+    def _joined(self, groups) -> list[QubitHandle]:
+        """The qubits of `groups` in order, refused over the ceiling."""
         qubits = [q for g in groups for q in g.qubits]
         if len(qubits) > self.max_group_qubits:
             raise ValueError(
                 f"merging would create a {len(qubits)}-qubit group, "
                 f"over the ceiling of {self.max_group_qubits}"
             )
-        merged = StateGroup(qubits, _product([g.amps for g in groups]))
+        return qubits
+
+    def _replace(self, groups, merged: StateGroup) -> None:
+        """Put `merged` last in `_groups` in place of `groups`, and point its
+        qubits at it."""
         for g in groups:
             self._groups.remove(g)
         self._groups.append(merged)
         for q in merged.qubits:
             self._index[q] = merged
-        return merged
 
     def _apply_unitary(self, group: StateGroup, gate: np.ndarray, positions: list[int]) -> None:
         n = group.n_qubits
@@ -465,10 +542,19 @@ class World:
 
         With S the permutation that exchanges register_a with register_b,
         the pass outcome projects onto (I+S)/2 and the fail outcome onto
-        (I-S)/2, so the test passes with probability ||(psi + S psi)/2||^2.
-        S is one transpose of the merged group's tensor.  Both registers
-        stay live, in one group holding the normalised branch.  Returns
-        True on a pass.
+        (I-S)/2, so the test passes with probability
+        (<psi|psi> + <psi|S|psi>)/2.  Both terms are products over
+        *blocks*, the groups the registers touch joined wherever a pair
+        links two of them, so the verdict is drawn from each block's own
+        small product, never from the joint state.
+
+        Both registers stay live, in one group at the place and in the
+        qubit order a merge would give it.  That group holds the
+        projection pending, not amplitudes: `_settle` builds the
+        normalised branch when the group is next used, and a group whose
+        every qubit is discarded is dropped unbuilt.  A merge over the
+        ceiling and a zero branch are refused before anything changes.
+        Returns True on a pass.
         """
         register_a = list(register_a)
         register_b = list(register_b)
@@ -476,35 +562,61 @@ class World:
             raise ValueError("registers differ in length")
         if not register_a:
             raise ValueError("registers must not be empty")
-        # Pair by pair, so the one merge orders the qubits as the Fredkin
+        # Pair by pair, so the one group orders the qubits as the Fredkin
         # cascade this measurement replaces did.
-        targets = [q for pair in zip(register_a, register_b) for q in pair]
+        pairs = list(zip(register_a, register_b))
+        targets = [q for pair in pairs for q in pair]
         if len(set(targets)) != len(targets):
             raise ValueError("registers overlap or repeat a handle")
-        group = self._merged_group_for(targets)
-        n = group.n_qubits
-        axes = list(range(n))
-        for a, b in zip(register_a, register_b):
-            i, j = group.position(a), group.position(b)
-            axes[i], axes[j] = j, i
-        psi = group.amps.reshape((2,) * n)
-        swapped = psi.transpose(axes)
+        links = [(self.group_of(a), self.group_of(b)) for a, b in pairs]
+        groups = list(dict.fromkeys(g for link in links for g in link))
+        qubits = self._joined(groups)
+        blocks = _blocks(groups, links, pairs)
+        norm = overlap = 1.0
+        for block, block_pairs in blocks:
+            psi = _product([g.amps for g in block])
+            block_qubits = [q for g in block for q in g.qubits]
+            swapped = psi.reshape((2,) * len(block_qubits)).transpose(_swap_axes(block_qubits, block_pairs))
+            norm *= np.vdot(psi, psi).real
+            overlap *= np.vdot(psi, swapped).real
         u = self.rng.random()
-        kept = _scratch(psi.size).reshape(psi.shape)
-        np.add(psi, swapped, out=kept)
-        p = float(np.vdot(kept, kept).real) / 4.0
-        passed = u < p
-        if not passed:
-            np.subtract(psi, swapped, out=kept)
-            p = float(np.vdot(kept, kept).real) / 4.0
-        norm = np.sqrt(p)
-        if norm < 1e-12:
+        passed = u < float(norm + overlap) / 2.0
+        p = float(norm + overlap if passed else norm - overlap) / 2.0
+        if not p >= 1e-24:  # a branch norm under 1e-12, or NaN
             raise RuntimeError("collapsed onto a zero branch; numerical state is corrupt")
-        np.multiply(kept, 1.0 / (2.0 * norm), out=psi)
+        if len(groups) == 1:
+            group = groups[0]
+        else:
+            group = StateGroup(qubits, None)
+            self._replace(groups, group)
+        # one block's product, in merge order, is the merged state itself
+        factors = [psi] if len(blocks) == 1 else [g.amps for g in groups]
+        group.amps, group.projection = None, (factors, pairs, passed)
         # The ancilla circuit drew a second uniform when it discarded the
         # ancilla; drawing it here keeps fixed-seed reports byte-identical.
         self.rng.random()
         return passed
+
+    def _build_branch(self, group: StateGroup) -> None:
+        """Turn a group's pending swap-test projection into amplitudes.
+
+        The product of the factors, in merge order, is the state the test
+        measured; its pass or fail branch psi +- S psi is built in a
+        per-thread scratch buffer and written back, normalised by one
+        real scale, into that product.  A zero branch raises before
+        anything is written.
+        """
+        factors, pairs, passed = group.projection
+        amps = _product(factors)
+        psi = amps.reshape((2,) * group.n_qubits)
+        swapped = psi.transpose(_swap_axes(group.qubits, pairs))
+        kept = _scratch(psi.size).reshape(psi.shape)
+        (np.add if passed else np.subtract)(psi, swapped, out=kept)
+        norm = np.sqrt(float(np.vdot(kept, kept).real) / 4.0)
+        if norm < 1e-12:
+            raise RuntimeError("collapsed onto a zero branch; numerical state is corrupt")
+        np.multiply(kept, 1.0 / (2.0 * norm), out=psi)
+        group.amps, group.projection = amps, None
 
     def _measure(self, targets: list[QubitHandle], basis, retire: bool):
         """Born-rule measurement of `targets` in a basis built by `_basis`,

@@ -11,6 +11,11 @@ pure inputs always pass; states with inner product d pass with
 probability (1+d^2)/2; for mixed marginals the rate is
 (1 + Tr(rho_a rho_b))/2.  A pass says "probably equal", never
 "certainly equal".  `swap_test` returns that one bit: True on a pass.
+
+The simulator draws the bit from per-block overlaps, so registers of
+unentangled qubits cost a few 2-qubit products, not one 2^(2n)-amplitude
+state, and it builds the post-measurement state only if one of the
+registers' qubits is used again.
 """
 
 from __future__ import annotations
@@ -25,8 +30,10 @@ def swap_test(world: World, register_a, register_b) -> bool:
     on a pass, the one bit the test yields.
 
     The inputs are consumed in the sense that they end up entangled with
-    each other; only when the test passes on identical pure inputs is the
-    joint state left exactly as it was.  Registers that differ in length,
-    are empty, overlap or name a retired qubit raise ``ValueError``.
+    each other, in one group whose state is built when one of its qubits
+    is next used; only when the test passes on identical pure inputs is
+    the joint state left exactly as it was.  Registers that differ in
+    length, are empty, overlap or name a retired qubit raise
+    ``ValueError``, as does a joint group over the world's ceiling.
     """
     return world.measure_swap(register_a, register_b)

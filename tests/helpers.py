@@ -3,7 +3,9 @@ transcript filters that no protocol path needs."""
 
 import numpy as np
 
+from qcheque import sim
 from qcheque.bits import BitString
+from qcheque.sim import Owner
 
 
 def state_of(world, register) -> np.ndarray:
@@ -38,6 +40,53 @@ def collapse_widths(world) -> list:
 
     world._collapse = counted
     return widths
+
+
+def product_widths(monkeypatch) -> list:
+    """A list that grows by the qubit width of every tensor product the
+    simulator builds for the rest of the test: merges, swap-test blocks,
+    settled swap-test branches and introspection."""
+    widths = []
+    product = sim._product
+
+    def counted(vectors):
+        out = product(vectors)
+        widths.append(out.size.bit_length() - 1)
+        return out
+
+    monkeypatch.setattr(sim, "_product", counted)
+    return widths
+
+
+# Two registers laid over entangled groups, for swap tests: the group sizes
+# in allocation order, then each register as indices into the qubits that
+# those groups hold, in allocation order.
+SWAP_LAYOUTS = {
+    # the honest deposit's shape: one block of two singletons per pair
+    "singletons": ([1] * 6, [0, 1, 2], [3, 4, 5]),
+    # two blocks of two groups each, with four bystanders
+    "spread over groups": ([3, 2, 3, 2], [0, 5, 1], [3, 8, 4]),
+    # one block holds a 4-qubit group and two pairs; a second block
+    # joins two singletons
+    "one group, several pairs": ([4, 1, 1], [0, 2, 4], [1, 3, 5]),
+    # each block holds a pair and bystanders on both sides
+    "bystanders in a block": ([3, 1, 2, 3], [0, 4], [3, 8]),
+    # one group holds both registers; another group stands by
+    "registers share a group": ([6, 2], [5, 2, 0], [1, 4, 3]),
+    # a cycle of pairs joins three groups into one block
+    "one block of three groups": ([2, 2, 2], [0, 2, 4], [3, 5, 1]),
+}
+
+
+def swap_layout(world, rng, name) -> tuple[list, list]:
+    """Allocate random entangled groups in the named layout; return its two
+    registers."""
+    sizes, reg_a, reg_b = SWAP_LAYOUTS[name]
+    qubits = []
+    for k in sizes:
+        amps = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
+        qubits += world.allocate_group([Owner.ALICE] * k, amps / np.linalg.norm(amps))
+    return [qubits[i] for i in reg_a], [qubits[i] for i in reg_b]
 
 
 def haar_random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:

@@ -289,6 +289,38 @@ def test_bit_field_in_non_ascii_digits_is_a_file_error(section, key, digits, tmp
     assert not resaved.exists()
 
 
+# bytes.fromhex also reads upper case and whitespace, so a hex field in
+# either form would load, and re-save in lower case: not the document read.
+_HEX_CORRUPTIONS = {
+    "upper-case": str.upper,
+    "whitespace": lambda text: text[:2] + " " + text[2:],
+    "odd-length": lambda text: text[:-1],
+    "number": lambda text: 12,
+}
+
+
+@pytest.mark.parametrize("corruption", list(_HEX_CORRUPTIONS))
+@pytest.mark.parametrize("field", ["signature", "public-key-entry"])
+def test_hex_field_not_in_lower_case_is_a_file_error(field, corruption, tmp_path):
+    scenario = tmp_path / "scenario.json"
+    proc = run_cli("snapshot", *FAST, "--seed", "9", "--snapshot", str(scenario))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(scenario.read_text())
+    if field == "signature":
+        holder, key = doc["cheque"], "signature"
+    else:
+        holder, key = doc["bank"]["records"][0]["public_key"]["entries"][0], 0
+    corrupted = _HEX_CORRUPTIONS[corruption](holder[key])
+    assert corrupted != holder[key]
+    holder[key] = corrupted
+    scenario.write_text(json.dumps(doc))
+    resaved = tmp_path / "resaved.json"
+    proc = run_cli("restore", "--snapshot", str(scenario), "--out", str(resaved))
+    assert proc.returncode == 3, proc.stderr
+    assert "lower-case hex" in proc.stderr and "Traceback" not in proc.stderr
+    assert not resaved.exists()
+
+
 def _empty_group(world):
     world["groups"].append({"qubits": [], "amplitudes": [[1.0, 0.0]]})
 

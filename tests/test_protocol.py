@@ -4,7 +4,7 @@ import json
 from dataclasses import replace
 
 import pytest
-from helpers import collapse_widths, flip, messages_in_session
+from helpers import collapse_widths, flip, messages_in_session, product_widths
 
 from qcheque.bits import BitString
 from qcheque.protocol import (
@@ -16,7 +16,8 @@ from qcheque.protocol import (
     encode_amount,
     sign_cheque,
 )
-from qcheque.sim import World
+from qcheque.qowf import prepare_auth_state
+from qcheque.sim import Owner, World
 
 SMALL = SchemeParams(ghz_triples=2, auth_qubits=2, key_bits=64, serial_bits=64)
 
@@ -136,15 +137,41 @@ def test_default_deposit_fits_sixteen_qubit_groups():
     assert bank.verify_cheque(world, cheque).accepted
 
 
-def test_deposit_collapses_only_the_recovery_pairs():
+def test_deposit_collapses_only_the_recovery_pairs(monkeypatch):
     # every register a deposit discards is dropped, not collapsed: the
     # only collapses are the recovery X measurements, one per 2-qubit
-    # triple remnant, and the 16-qubit authentication group costs nothing
+    # triple remnant.  Each swap test is decided from blocks of one cheque
+    # and one target qubit, and its 2n-qubit group, dropped unused, is
+    # never built: no state wider than a block exists
     world, bank, _, _, cheque = issue(seed=22, params=SchemeParams())
     widths = collapse_widths(world)
+    products = product_widths(monkeypatch)
     assert bank.verify_cheque(world, cheque).accepted
     assert widths and max(widths) <= 2
+    assert products and max(products) <= 2
     assert world.qubit_count == 0 and world._groups == []
+
+
+def test_swap_test_over_the_group_ceiling_is_refused_before_any_change():
+    # the 8+8-qubit authentication test builds no 16-qubit state, but its
+    # group would hold 16 qubits, so a ceiling of 15 still refuses it
+    world = World(seed=22, max_group_qubits=15)
+    bank = Bank()
+    book, record = bank.gen_account(world, "alice", SchemeParams())
+    cheque = sign_cheque(world, book, encode_amount(42))
+    target = prepare_auth_state(world, record.shared_key, BitString.from_text("alice"), cheque.nonce,
+                                cheque.amount, 8, owner=Owner.BANK)
+    before = world.to_json()
+    with pytest.raises(ValueError, match="16-qubit group"):
+        world.measure_swap(cheque.auth_qubits, target)
+    assert world.to_json() == before
+    for q in target:
+        world.discard(q)
+    # the deposit refuses it the same way, and still retires the serial
+    with pytest.raises(ValueError, match="16-qubit group"):
+        bank.verify_cheque(world, cheque)
+    assert record.destroyed and world.qubit_count == 0
+    world.check_partition()
 
 
 def test_transcript_logs_one_recovery_per_triple():

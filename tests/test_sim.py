@@ -4,7 +4,15 @@ import threading
 
 import numpy as np
 import pytest
-from helpers import collapse_widths, handles, haar_random_unitary, state_of
+from helpers import (
+    SWAP_LAYOUTS,
+    collapse_widths,
+    handles,
+    haar_random_unitary,
+    product_widths,
+    state_of,
+    swap_layout,
+)
 
 from qcheque.sim import (
     _BELL_BASIS,
@@ -1005,3 +1013,76 @@ def test_fully_discarded_group_is_dropped_without_collapse():
     reference.random(len(qs))
     assert world.rng.bit_generator.state == reference.bit_generator.state
     world.check_partition()
+
+
+# ----------------------------------------------------------------------
+# deferred swap-test projection: the verdict comes from per-block norms,
+# and the branch is built only when its group is next used
+# ----------------------------------------------------------------------
+
+
+def _eager_swap(world, register_a, register_b):
+    """The swap test built at once: one merge, then `_fresh_swap` with
+    the verdict drawn from the merged state."""
+    targets = [q for pair in zip(register_a, register_b) for q in pair]
+    group = world._merged_group_for(targets)
+    pairs = [(group.position(a), group.position(b)) for a, b in zip(register_a, register_b)]
+    passed, group.amps = _fresh_swap(group.amps, pairs, world.rng.random())
+    world.rng.random()
+    return passed
+
+
+@pytest.mark.parametrize("layout", list(SWAP_LAYOUTS))
+def test_deferred_swap_matches_eager_projection_bit_for_bit(layout):
+    verdicts = set()
+    for seed in range(20):
+        world = World(seed=seed)
+        a, b = swap_layout(world, np.random.default_rng(seed), layout)
+        eager, snapped = World.from_json(world.to_json()), World.from_json(world.to_json())
+        passed = world.measure_swap(a, b)
+        assert passed == snapped.measure_swap(a, b) == _eager_swap(eager, a, b)
+        verdicts.add(passed)
+        assert world.rng.bit_generator.state == eager.rng.bit_generator.state
+        group = world._index[a[0]]
+        assert group.amps is None and group.projection is not None
+        # a snapshot taken while the projection is pending settles it
+        assert snapped.to_json() == eager.to_json()
+        # a discard queued behind the projection collapses after it
+        for w in (world, eager):
+            w.discard(a[0])
+            w.group_of(b[0])
+        assert [g.qubits for g in world._groups] == [g.qubits for g in eager._groups]
+        for mine, theirs in zip(world._groups, eager._groups):
+            assert np.array_equal(mine.amps, theirs.amps)
+        world.check_partition()
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("layout", ["singletons", "one block of three groups"])
+def test_fully_discarded_swap_test_group_is_never_built(layout, monkeypatch):
+    world = World(seed=7)
+    a, b = swap_layout(world, np.random.default_rng(7), layout)
+    world.measure_swap(a, b)
+    widths, products = collapse_widths(world), product_widths(monkeypatch)
+    for q in handles(world):
+        world.discard(q)
+    assert widths == [] and products == [] and world._groups == []
+    world.check_partition()
+
+
+@pytest.mark.parametrize("layout", ["singletons", "one group, several pairs"])
+def test_zero_branch_at_settle_is_refused_and_leaves_the_projection(layout):
+    world = World(seed=3)
+    a, b = swap_layout(world, np.random.default_rng(3), layout)
+    world.measure_swap(a, b)
+    group = world._index[a[0]]
+    projection = group.projection
+    factors = projection[0]
+    for factor in factors:
+        factor[:] = 0  # a corrupt state
+    with pytest.raises(RuntimeError, match="zero branch"):
+        world.group_of(b[0])
+    assert group.projection is projection and group.amps is None
+    assert world._index[b[0]] is group and group in world._groups
+    # refused before anything is written: a scale by 1/0 would leave NaNs
+    assert all(np.array_equal(factor, np.zeros(factor.size)) for factor in factors)

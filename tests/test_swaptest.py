@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import SWAP_LAYOUTS, swap_layout
 
 from qcheque.sim import HADAMARD, Owner, World, haar_random_qubit
 from qcheque.stats import binomial_sigma, within_sigma
@@ -145,18 +146,38 @@ def _groups_by_qids(world):
     return groups
 
 
+def _matches_fredkin_circuit(world, twin, a, b) -> bool:
+    """Run the swap test on `world` and the circuit on its twin; assert
+    that the verdicts, the PRNG streams and the states agree, taking the
+    world's snapshot while its projection is still pending.  Returns the
+    verdict."""
+    passed = swap_test(world, a, b)
+    assert passed == _fredkin_swap_test(twin, a, b)
+    assert world.rng.bit_generator.state == twin.rng.bit_generator.state
+    assert world._index[a[0]].projection is not None  # settled by the snapshot below
+    mine, theirs = _groups_by_qids(world), _groups_by_qids(twin)
+    assert mine.keys() == theirs.keys()
+    for qids, amps in mine.items():
+        assert np.max(np.abs(amps - theirs[qids])) < 1e-12
+    world.check_partition()
+    return passed
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_projective_swap_test_matches_fredkin_circuit(width):
     verdicts = set()
     for seed in range(20):
         world, twin, a, b = _spread_registers(seed, width)
-        passed = swap_test(world, a, b)
-        assert passed == _fredkin_swap_test(twin, a, b)
-        verdicts.add(passed)
-        assert world.rng.bit_generator.state == twin.rng.bit_generator.state
-        mine, theirs = _groups_by_qids(world), _groups_by_qids(twin)
-        assert mine.keys() == theirs.keys()
-        for qids, amps in mine.items():
-            assert np.max(np.abs(amps - theirs[qids])) < 1e-12
-        world.check_partition()
+        verdicts.add(_matches_fredkin_circuit(world, twin, a, b))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("layout", list(SWAP_LAYOUTS))
+def test_swap_test_matches_fredkin_circuit_by_layout(layout):
+    verdicts = set()
+    for seed in range(20):
+        world = World(seed=seed)
+        a, b = swap_layout(world, np.random.default_rng(seed), layout)
+        twin = World.from_json(world.to_json())
+        verdicts.add(_matches_fredkin_circuit(world, twin, a, b))
     assert verdicts == {True, False}
