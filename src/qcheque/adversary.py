@@ -34,7 +34,7 @@ local-tamper
 
 A note on the cloner: both output qubits of `clone_qubit` reduce to
 (2/3) rho + (1/6) I for input rho, the optimal input-independent copy.
-It is realised as a five-rotation, six-CNOT circuit on the input plus
+It is realised as a three-rotation, six-CNOT circuit on the input plus
 two work qubits, so it runs through the ordinary two-qubit gate API.
 """
 
@@ -136,18 +136,11 @@ def clone_qubit(world: World, q: QubitHandle) -> CloneResult:
     return CloneResult(copy=copy, machine=machine)
 
 
-def local_tamper(world: World, cheque: QuantumCheque, indices=None) -> None:
-    """Flip chosen amount registers of a cheque with an X gate.
-
-    `indices` are 1-based register positions; by default every amount
-    register is hit.  Authentication qubits are never touched.
-    """
-    count = len(cheque.amount_qubits)
-    chosen = range(1, count + 1) if indices is None else indices
-    for i in chosen:
-        if not 1 <= i <= count:
-            raise ValueError(f"cheque has no amount register {i}")
-        world.apply_gate(PAULI_X, [cheque.amount_qubits[i - 1]])
+def local_tamper(world: World, cheque: QuantumCheque) -> None:
+    """Flip every amount register of a cheque with an X gate.
+    Authentication qubits are never touched."""
+    for q in cheque.amount_qubits:
+        world.apply_gate(PAULI_X, [q])
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .protocol import (
     sign_cheque,
 )
 from .qowf import prepare_amount_state
-from .sim import Owner, World, haar_random_qubit
+from .sim import Owner, World, _document, haar_random_qubit
 from .stats import within_sigma
 from .swaptest import swap_test
 from .teleport import encode_qubit, prepare_ghz, recover_qubit
@@ -164,8 +164,9 @@ def cmd_snapshot(args) -> int:
     return 0
 
 
-def _load_scenario(path: str) -> tuple[dict, World, Bank, QuantumCheque]:
-    """The scenario's config, world, bank and cheque, each validated."""
+def _load_scenario(path: str) -> tuple[str, World, Bank, QuantumCheque]:
+    """The text a scenario re-saves to, and its world, bank and cheque,
+    each validated; refused unless that text is the document's own."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -177,29 +178,29 @@ def _load_scenario(path: str) -> tuple[dict, World, Bank, QuantumCheque]:
         raise CliFileError(
             f"{path}: parse error at byte offset {exc.pos}: {exc.msg}"
         ) from exc
-    if not isinstance(doc, dict) or doc.get("format") != SCENARIO_FORMAT:
-        raise CliFileError(f"{path}: not a scenario snapshot")
-    if doc.get("version") != SCENARIO_VERSION:
-        raise CliFileError(
-            f"{path}: unsupported scenario version {doc.get('version')!r}, "
-            f"expected {SCENARIO_VERSION}"
-        )
     try:
+        _document(doc, SCENARIO_FORMAT, SCENARIO_VERSION)
         config = doc["config"]
         world = World.from_json(doc["world"])
         bank = Bank.from_json(doc["bank"])
         cheque = QuantumCheque.from_json(doc["cheque"])
+        world.check_partition()
+        # JSON text is type-strict, so this refuses every value a loader
+        # coerced (true for 1, 128.0 for 128, upper-case hex) and every
+        # key it ignored, wherever it sits
+        resaved = _dump(_scenario(config, world, bank, cheque))
+        if resaved != _dump(doc):
+            raise ValueError("it does not re-save to the same document")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliFileError(f"{path}: invalid snapshot contents: {exc}") from exc
-    world.check_partition()
-    return config, world, bank, cheque
+    return resaved, world, bank, cheque
 
 
 def cmd_restore(args) -> int:
-    config, world, bank, cheque = _load_scenario(args.snapshot)
+    resaved, world, bank, cheque = _load_scenario(args.snapshot)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dump(_scenario(config, world, bank, cheque)))
+            fh.write(resaved)
     summary = {
         **_header("restore"),
         "snapshot_path": args.snapshot,

@@ -36,7 +36,7 @@ from enum import Enum
 from .bits import BitString
 from .qowf import prepare_amount_state, prepare_auth_state
 from .signatures import PREIMAGE_BITS, LamportSignatureScheme
-from .sim import Owner, QubitHandle, World, _field, _handle, _hex
+from .sim import Owner, QubitHandle, World, _document, _field, _handle
 from .swaptest import swap_test
 from .teleport import GhzTriple, encode_qubit, prepare_ghz, recover_qubit
 
@@ -220,7 +220,7 @@ class QuantumCheque:
             serial=BitString.from_binary_text(doc["serial"]),
             nonce=BitString.from_binary_text(doc["nonce"]),
             amount=BitString.from_binary_text(doc["amount"]),
-            signature=_hex(doc["signature"], "signature"),
+            signature=bytes.fromhex(doc["signature"]),
             amount_qubits=tuple(map(_handle, doc["amount_qubits"])),
             auth_qubits=tuple(map(_handle, doc["auth_qubits"])),
         )
@@ -471,19 +471,12 @@ class Bank:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Bank":
-        if not isinstance(doc, dict) or doc.get("format") != BANK_SNAPSHOT_FORMAT:
-            raise ValueError("not a bank snapshot document")
-        if doc.get("version") != BANK_SNAPSHOT_VERSION:
-            raise ValueError(
-                f"unsupported bank snapshot version {doc.get('version')!r}, "
-                f"expected {BANK_SNAPSHOT_VERSION}"
-            )
+        _document(doc, BANK_SNAPSHOT_FORMAT, BANK_SNAPSHOT_VERSION)
         if doc.get("signature_bits") != PREIMAGE_BITS:
             raise ValueError(
                 f"snapshot signs with {doc.get('signature_bits')!r}-bit preimages, "
                 f"expected {PREIMAGE_BITS}"
             )
-        _field(doc, "signature_bits", int)  # 128.0 compares equal but is not an int
         bank = cls()
         if bank.scheme.identifier != doc.get("signature_scheme"):
             raise ValueError(

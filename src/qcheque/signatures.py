@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitString, frame_fields
-from .sim import _field, _hex
 
 __all__ = [
     "PREIMAGE_BITS",
@@ -117,9 +116,7 @@ class LamportSignatureScheme:
             raise ValueError(
                 f"public key has {doc.get('preimage_bits')!r}-bit preimages, expected {PREIMAGE_BITS}"
             )
-        _field(doc, "preimage_bits", int)  # 128.0 compares equal but is not an int
-        entries = tuple((_hex(a, "public key entry"), _hex(b, "public key entry"))
-                        for a, b in doc["entries"])
+        entries = tuple((bytes.fromhex(a), bytes.fromhex(b)) for a, b in doc["entries"])
         # verify compares all selected entries joined, which is the
         # per-entry comparison only while every entry is one digest long
         if len(entries) != _DIGEST_BITS or any(len(h) != _HASH_BYTES for pair in entries for h in pair):

@@ -137,16 +137,12 @@ def _field(doc: dict, key, kinds):
     return value
 
 
-_HEX_DIGITS = frozenset("0123456789abcdef")
-
-
-def _hex(value, name: str) -> bytes:
-    """The bytes a snapshot's hex field spells, read only in the lower-case
-    form that `bytes.hex` writes: `bytes.fromhex` alone also takes upper
-    case and whitespace, which load a document that saves differently."""
-    if type(value) is not str or len(value) % 2 or not _HEX_DIGITS.issuperset(value):
-        raise ValueError(f"{name} must be lower-case hex, got {value!r:.40}")
-    return bytes.fromhex(value)
+def _document(doc, fmt: str, version: int) -> None:
+    """Raise unless `doc` is a JSON object headed with `fmt` at `version`."""
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ValueError(f"not a {fmt} document")
+    if doc.get("version") != version:
+        raise ValueError(f"unsupported {fmt} version {doc.get('version')!r}, expected {version}")
 
 
 def _handle(pair) -> QubitHandle:
@@ -766,15 +762,13 @@ class World:
         Every group must hold one to ``max_group_qubits`` qubits and
         finite amplitudes of unit norm, and every qubit id must be unique
         and below ``next_qid``.  Amplitudes are loaded as stored, not
-        renormalised, so a load and a save give back the same document.
+        renormalised, so saving a world's own `to_json` output back gives
+        the same document.  A document that only means the same is not
+        refused here: numpy coerces the PRNG words, a zero amplitude
+        written ``0`` saves as ``0.0``, and unknown keys are ignored.
+        ``qcheque restore`` refuses those by re-saving what it loaded.
         """
-        if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
-            raise ValueError("not a world snapshot document")
-        if doc.get("version") != SNAPSHOT_VERSION:
-            raise ValueError(
-                f"unsupported world snapshot version {doc.get('version')!r}, "
-                f"expected {SNAPSHOT_VERSION}"
-            )
+        _document(doc, SNAPSHOT_FORMAT, SNAPSHOT_VERSION)
         world = cls(seed=0, max_group_qubits=_field(doc, "max_group_qubits", int))
         state = doc["rng"]
         if not isinstance(state, dict):

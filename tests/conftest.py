@@ -1,9 +1,12 @@
 """Pin BLAS to one thread before any test module imports numpy.
 
-Threaded BLAS calls on the 2^16-amplitude states of the l=8, n=8 swap
-test can stall for milliseconds per product when another process holds a
-CPU, enough to push criterion 01 past its 30 s wall-clock gate.  An
-explicit setting in the environment still wins.
+The OpenBLAS that numpy links can start up to 64 threads, and a threaded
+call stalls for milliseconds whenever another process holds a CPU.  No
+deposit builds a state wider than 2 qubits any more, but the flat
+reference simulator still multiplies states of up to 2^16 amplitudes,
+and the suite shares its CPUs with whatever else runs; one thread keeps
+its timings, criterion 01's 30 s wall-clock gate among them, steady.
+An explicit setting in the environment still wins.
 """
 
 import os

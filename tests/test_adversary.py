@@ -89,7 +89,7 @@ def test_clone_refuses_vault_qubits():
 # ---------------------------------------------------------------- tamper op
 
 
-def test_local_tamper_flips_chosen_registers():
+def test_local_tamper_flips_every_amount_register():
     # each amount qubit is still entangled with its vault partner, so
     # compare the joint pair states; X on the cheque side is X (x) I
     world = World(seed=8)
@@ -98,22 +98,13 @@ def test_local_tamper_flips_chosen_registers():
     cheque = sign_cheque(world, book, encode_amount(5))
     pairs = list(zip(cheque.amount_qubits, record.bank_qubits))
     before = [state_of(world, list(pair)) for pair in pairs]
-    local_tamper(world, cheque, indices=[2])
-    after = [state_of(world, list(pair)) for pair in pairs]
+    auth_before = state_of(world, list(cheque.auth_qubits))
+    local_tamper(world, cheque)
     x_on_first = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
-    assert np.allclose(after[0], before[0])
-    assert np.allclose(after[1], x_on_first @ before[1])
-
-
-def test_local_tamper_validates_indices():
-    world = World(seed=9)
-    bank = Bank()
-    book, _ = bank.gen_account(world, "alice", SMALL)
-    cheque = sign_cheque(world, book, encode_amount(5))
-    with pytest.raises(ValueError):
-        local_tamper(world, cheque, indices=[0])
-    with pytest.raises(ValueError):
-        local_tamper(world, cheque, indices=[3])
+    assert len(pairs) == SMALL.ghz_triples
+    for pair, old in zip(pairs, before):
+        assert np.allclose(state_of(world, list(pair)), x_on_first @ old)
+    assert np.allclose(state_of(world, list(cheque.auth_qubits)), auth_before)
 
 
 # ---------------------------------------------------------------- harness
