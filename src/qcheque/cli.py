@@ -59,6 +59,12 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _compact(doc) -> str:
+    """`doc` as `_dump` writes it, less the whitespace; `indent` would
+    bypass the C encoder."""
+    return json.dumps(doc, sort_keys=True, allow_nan=False)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     sys.stdout.write(text)
     if out_path:
@@ -178,6 +184,8 @@ def _load_scenario(path: str) -> tuple[str, World, Bank, QuantumCheque]:
         raise CliFileError(
             f"{path}: parse error at byte offset {exc.pos}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise CliFileError(f"{path}: parse error: nested too deeply") from exc
     try:
         _document(doc, SCENARIO_FORMAT, SCENARIO_VERSION)
         config = doc["config"]
@@ -187,11 +195,14 @@ def _load_scenario(path: str) -> tuple[str, World, Bank, QuantumCheque]:
         world.check_partition()
         # JSON text is type-strict, so this refuses every value a loader
         # coerced (true for 1, 128.0 for 128, upper-case hex) and every
-        # key it ignored, wherever it sits
-        resaved = _dump(_scenario(config, world, bank, cheque))
-        if resaved != _dump(doc):
+        # key it ignored, wherever it sits.  Compact texts are equal
+        # exactly when the indented ones are, and the C encoder writes
+        # them; only the text kept for --out is indented.
+        rebuilt = _scenario(config, world, bank, cheque)
+        if _compact(rebuilt) != _compact(doc):
             raise ValueError("it does not re-save to the same document")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        resaved = _dump(rebuilt)
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise CliFileError(f"{path}: invalid snapshot contents: {exc}") from exc
     return resaved, world, bank, cheque
 

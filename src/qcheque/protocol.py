@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .bits import BitString
 from .qowf import prepare_amount_state, prepare_auth_state
@@ -234,8 +235,7 @@ class VerifyResult:
     auth_passed: bool | None = None
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One entry of the bank's ordered session transcript."""
 
     session: int

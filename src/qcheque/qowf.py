@@ -40,6 +40,7 @@ _TWO_64 = float(2**64)
 
 _AUTH_TAG = BitString.from_text("auth-state")
 _AMOUNT_TAG = BitString.from_text("amount-state")
+_INDEX_WIDTH = (32).to_bytes(4, "big")
 
 
 def _expand(data: bytes, nbytes: int) -> bytes:
@@ -92,9 +93,10 @@ def amount_state_amplitudes(
 
     `index` is the 1-based position of the entangled triple.
     """
-    if index < 1:
-        raise ValueError("index starts at 1")
-    data = frame_fields(_AMOUNT_TAG, nonce, amount, BitString.from_int(index, 32))
+    if not 1 <= index < 1 << 32:
+        raise ValueError(f"index {index} is outside [1, 2**32)")
+    # the frame of BitString.from_int(index, 32), written directly
+    data = frame_fields(_AMOUNT_TAG, nonce, amount) + _INDEX_WIDTH + index.to_bytes(4, "big")
     (theta, phi), = derive_angles(data, 1)
     return angles_to_amplitudes(theta, phi)
 

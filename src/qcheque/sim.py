@@ -10,6 +10,8 @@ Gates and merges run one code path at every group size: a gate moves its
 target axes to the front of the group tensor with one transpose, applies
 its matrix as one product and transposes back; a merge joins every group
 an operation spans in one balanced product of their amplitude vectors.
+Targets that already lead their group in order skip both transposes, and
+an operation on one qubit reaches its group with no merge bookkeeping.
 Each distinct gate matrix is checked for unitarity once and kept
 read-only in a bounded memo.
 
@@ -31,16 +33,19 @@ once, so the PRNG stream is unchanged, and queues the qubit on its
 group.  ``measure_swap`` draws its verdict from blocks, the groups the
 registers touch joined wherever a pair links two of them, since both of
 the norms it needs are products over blocks (Buhrman, Cleve, Watrous and
-de Wolf, *Quantum fingerprinting*, 2001).  The joint branch it projects
-onto is left pending on the group that now holds both registers.  A
-group settles, building its pending branch and then collapsing its
-discards in discard order with the stored uniforms, only when it is next
-used: ``group_of``, through which every gate, merge, measurement and
-introspection reaches a group, settles it first, as do ``to_json`` and
-``check_partition`` for every group.  Settling runs the arithmetic the
-eager operation would have run, so the amplitudes are the same bit for
-bit.  A group whose every qubit is discarded is dropped with no
-arithmetic, so a deposit never builds its wide swap-test state.
+de Wolf, *Quantum fingerprinting*, 2001).  A block of two single qubits
+a and b, every block of a deposit, is decided in closed form: its norm is
+<a|a><b|b> and its overlap |<a|b>|^2, so a pure pair passes with
+probability (1 + |<a|b>|^2)/2 and no product state is built.  The joint
+branch it projects onto is left pending on the group that now holds both
+registers.  A group settles, building its pending branch and then
+collapsing its discards in discard order with the stored uniforms, only
+when it is next used: ``group_of``, through which every gate, merge,
+measurement and introspection reaches a group, settles it first, as do
+``to_json`` and ``check_partition`` for every group.  Settling runs the
+arithmetic the eager operation would have run, so the amplitudes are the
+same bit for bit.  A group whose every qubit is discarded is dropped with
+no arithmetic, so a deposit never builds its wide swap-test state.
 
 Conventions used throughout the package:
 
@@ -67,9 +72,10 @@ interact with the world through gates and measurements.
 from __future__ import annotations
 
 import functools
+import math
 import threading
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,9 +120,11 @@ class Owner(str, Enum):
     ADVERSARY = "adversary"
 
 
-@dataclass(frozen=True)
-class QubitHandle:
-    """Opaque reference to one live qubit; stable for the life of a world."""
+class QubitHandle(NamedTuple):
+    """Opaque reference to one live qubit; stable for the life of a world.
+
+    A tuple of an int and a `str` enum, so hashing and comparing a handle,
+    as every group lookup does, runs in C."""
 
     qid: int
     owner: Owner
@@ -179,11 +187,13 @@ def _basis(states) -> tuple:
     Each entry is (label, flat state, terms), in the fixed order of
     cumulative sampling.  `terms` pairs the index of every nonzero
     amplitude with its conjugate, so projecting onto a state sums only
-    those slices of the group tensor and copies nothing else.
+    those slices of the group tensor and copies nothing else.  The
+    conjugates are Python scalars, which numpy scales by faster than by
+    its own scalars, with the same result.
     """
     return tuple(
         (label, np.asarray(state, dtype=complex).reshape(-1),
-         tuple((index, np.conj(amp)) for index, amp in np.ndenumerate(state) if amp))
+         tuple((index, np.conj(amp).item()) for index, amp in np.ndenumerate(state) if amp))
         for label, state in states
     )
 
@@ -250,8 +260,13 @@ def _check_state_vector(vec: np.ndarray, dim: int) -> float:
 
 
 def _as_state_vector(amplitudes, dim: int) -> np.ndarray:
-    vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    return vec / _check_state_vector(vec, dim)
+    """A new normalised array of `amplitudes`; a division by a norm of
+    exactly 1 is skipped, since it changes no bit."""
+    vec = np.array(amplitudes, dtype=complex).reshape(-1)
+    norm = _check_state_vector(vec, dim)
+    if norm != 1.0:
+        vec /= norm
+    return vec
 
 
 def _check_unitary(matrix) -> np.ndarray:
@@ -333,10 +348,29 @@ def _blocks(groups: list[StateGroup], links, pairs) -> list[tuple[list[StateGrou
     return list(blocks.values()) if len(blocks) > 1 else [(groups, pairs)]
 
 
-def _front(positions: list[int], n: int) -> list[int]:
+@functools.lru_cache(maxsize=1024)
+def _front(positions: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The axis permutation that moves `positions`, in order, to the front
-    of an n-axis tensor and keeps the other axes in their order."""
-    return positions + [i for i in range(n) if i not in positions]
+    of an n-axis tensor and keeps the other axes in their order, with its
+    inverse; None when they already lead in order, so the permutation is
+    the identity.  Memoised: a world has few widths and target positions."""
+    if positions == tuple(range(len(positions))):
+        return None
+    perm = positions + tuple(i for i in range(n) if i not in positions)
+    inverse = [0] * n
+    for i, axis in enumerate(perm):
+        inverse[axis] = i
+    return perm, tuple(inverse)
+
+
+def _pair_terms(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """<a|a><b|b> and |<a|b>|^2 of two single-qubit amplitude vectors: the
+    norm and overlap terms of a swap-test block of two single qubits, in
+    closed form with no product state."""
+    (a0, a1), (b0, b1) = a.tolist(), b.tolist()
+    inner = a0.conjugate() * b0 + a1.conjugate() * b1
+    norm = (a0 * a0.conjugate() + a1 * a1.conjugate()).real * (b0 * b0.conjugate() + b1 * b1.conjugate()).real
+    return norm, (inner * inner.conjugate()).real
 
 
 class World:
@@ -384,7 +418,9 @@ class World:
         vec = _as_state_vector(amplitudes, 2**n)
         handles = []
         for owner in owners:
-            handles.append(QubitHandle(self._next_qid, Owner(owner)))
+            # the enum call costs more than the check that skips it
+            owner = owner if type(owner) is Owner else Owner(owner)
+            handles.append(QubitHandle(self._next_qid, owner))
             self._next_qid += 1
         group = StateGroup(list(handles), vec)
         self._groups.append(group)
@@ -438,10 +474,13 @@ class World:
         k = len(targets)
         if gate.shape[0] != 2**k or k not in (1, 2):
             raise ValueError("gate dimension must be 2 or 4 and match the target count")
-        if len(set(targets)) != k:
+        if k == 1:
+            group = self.group_of(targets[0])
+        elif targets[0] == targets[1]:
             raise ValueError("gate targets must be distinct")
-        group = self._merged_group_for(targets)
-        self._apply_unitary(group, gate, [group.position(t) for t in targets])
+        else:
+            group = self._merged_group_for(targets)
+        self._apply_unitary(group, gate, tuple(map(group.position, targets)))
 
     def apply_cswap(self, control: QubitHandle, a: QubitHandle, b: QubitHandle) -> None:
         """Controlled swap of qubits a and b, conditioned on the control."""
@@ -450,8 +489,7 @@ class World:
         group = self._merged_group_for([control, a, b])
         fredkin = np.eye(8, dtype=complex)
         fredkin[[5, 6]] = fredkin[[6, 5]]
-        positions = [group.position(q) for q in (control, a, b)]
-        self._apply_unitary(group, fredkin, positions)
+        self._apply_unitary(group, fredkin, tuple(map(group.position, (control, a, b))))
 
     def _merged_group_for(self, targets) -> StateGroup:
         groups = self._groups_for(targets)
@@ -484,12 +522,13 @@ class World:
         for q in merged.qubits:
             self._index[q] = merged
 
-    def _apply_unitary(self, group: StateGroup, gate: np.ndarray, positions: list[int]) -> None:
-        n = group.n_qubits
-        perm = _front(positions, n)
-        inverse = [0] * n
-        for i, axis in enumerate(perm):
-            inverse[axis] = i
+    def _apply_unitary(self, group: StateGroup, gate: np.ndarray, positions: tuple[int, ...]) -> None:
+        n = len(group.qubits)
+        front = _front(positions, n)
+        if front is None:  # the targets lead: no transpose either way
+            group.amps = (gate @ group.amps.reshape(gate.shape[1], -1)).reshape(-1)
+            return
+        perm, inverse = front
         psi = group.amps.reshape((2,) * n).transpose(perm).reshape(gate.shape[1], -1)
         group.amps = (gate @ psi).reshape((2,) * n).transpose(inverse).reshape(-1)
 
@@ -530,7 +569,7 @@ class World:
         except KeyError:
             raise ValueError(f"unknown or retired qubit handle {q!r}") from None
         group.pending.append((q, self.rng.random()))
-        if len(group.pending) == group.n_qubits:
+        if len(group.pending) == len(group.qubits):
             self._groups.remove(group)
 
     def measure_swap(self, register_a, register_b) -> bool:
@@ -542,7 +581,9 @@ class World:
         (<psi|psi> + <psi|S|psi>)/2.  Both terms are products over
         *blocks*, the groups the registers touch joined wherever a pair
         links two of them, so the verdict is drawn from each block's own
-        small product, never from the joint state.
+        small product, never from the joint state.  A block of two single
+        qubits a and b needs no product: its norm is <a|a><b|b> and its
+        overlap |<a|b>|^2.
 
         Both registers stay live, in one group at the place and in the
         qubit order a merge would give it.  That group holds the
@@ -561,20 +602,36 @@ class World:
         # Pair by pair, so the one group orders the qubits as the Fredkin
         # cascade this measurement replaces did.
         pairs = list(zip(register_a, register_b))
-        targets = [q for pair in pairs for q in pair]
-        if len(set(targets)) != len(targets):
-            raise ValueError("registers overlap or repeat a handle")
-        links = [(self.group_of(a), self.group_of(b)) for a, b in pairs]
-        groups = list(dict.fromkeys(g for link in links for g in link))
+        if len(pairs) == 1:
+            (a, b), = pairs
+            if a == b:
+                raise ValueError("registers overlap or repeat a handle")
+            group_a, group_b = self.group_of(a), self.group_of(b)
+            links = [(group_a, group_b)]
+            groups = [group_a] if group_a is group_b else [group_a, group_b]
+        else:
+            targets = [q for pair in pairs for q in pair]
+            if len(set(targets)) != len(targets):
+                raise ValueError("registers overlap or repeat a handle")
+            links = [(self.group_of(a), self.group_of(b)) for a, b in pairs]
+            groups = list(dict.fromkeys(g for link in links for g in link))
         qubits = self._joined(groups)
         blocks = _blocks(groups, links, pairs)
         norm = overlap = 1.0
+        factors = [g.amps for g in groups]
         for block, block_pairs in blocks:
+            if len(block) == 2 and len(block[0].qubits) == len(block[1].qubits) == 1:
+                block_norm, block_overlap = _pair_terms(block[0].amps, block[1].amps)
+                norm *= block_norm
+                overlap *= block_overlap
+                continue
             psi = _product([g.amps for g in block])
             block_qubits = [q for g in block for q in g.qubits]
             swapped = psi.reshape((2,) * len(block_qubits)).transpose(_swap_axes(block_qubits, block_pairs))
             norm *= np.vdot(psi, psi).real
             overlap *= np.vdot(psi, swapped).real
+            if len(blocks) == 1:  # one block's product, in merge order, is the merged state
+                factors = [psi]
         u = self.rng.random()
         passed = u < float(norm + overlap) / 2.0
         p = float(norm + overlap if passed else norm - overlap) / 2.0
@@ -585,8 +642,6 @@ class World:
         else:
             group = StateGroup(qubits, None)
             self._replace(groups, group)
-        # one block's product, in merge order, is the merged state itself
-        factors = [psi] if len(blocks) == 1 else [g.amps for g in groups]
         group.amps, group.projection = None, (factors, pairs, passed)
         # The ancilla circuit drew a second uniform when it discarded the
         # ancilla; drawing it here keeps fixed-seed reports byte-identical.
@@ -619,9 +674,12 @@ class World:
         with one uniform drawn now.  The targets are then retired, or
         re-adopted as a fresh group holding the chosen basis state.
         Returns the label."""
-        if len(set(targets)) != len(targets):
+        if len(targets) == 1:
+            group = self.group_of(targets[0])
+        elif len(set(targets)) != len(targets):
             raise ValueError("measured qubits must be distinct")
-        group = self._merged_group_for(targets)
+        else:
+            group = self._merged_group_for(targets)
         label, state = self._collapse(group, targets, basis, self.rng.random())
         if retire:
             for t in targets:
@@ -643,12 +701,14 @@ class World:
         buffer and the targets leave its qubit list; a group left empty
         leaves the world.  A zero branch raises before anything changes.
         """
-        k = len(targets)
-        positions = [group.position(t) for t in targets]
-        psi = group.amps.reshape((2,) * group.n_qubits).transpose(_front(positions, group.n_qubits))
+        k, n = len(targets), len(group.qubits)
+        front = _front(tuple(map(group.position, targets)), n)
+        psi = group.amps.reshape((2,) * n)
+        if front is not None:
+            psi = psi.transpose(front[0])
         size = group.amps.size >> k
         kept = _scratch(size)
-        branch = kept.reshape((2,) * (group.n_qubits - k))
+        branch = kept.reshape((2,) * (n - k))
         acc = 0.0
         for label, state, terms in basis:
             (index, amp), *rest = terms
@@ -659,10 +719,10 @@ class World:
             acc += p
             if u < acc:
                 break
-        norm = np.sqrt(p)
+        norm = math.sqrt(p)
         if norm < 1e-12:
             raise RuntimeError("collapsed onto a zero branch; numerical state is corrupt")
-        if k < group.n_qubits:
+        if k < n:
             group.qubits = [q for q in group.qubits if q not in targets]
             # a real scale; a complex division costs 4-7x more
             group.amps = np.multiply(kept, 1.0 / norm, out=group.amps[:size])

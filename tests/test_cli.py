@@ -135,6 +135,26 @@ def test_norm_broken_snapshot_is_a_file_error(tmp_path):
     assert "norm" in proc.stderr
 
 
+@pytest.mark.parametrize("where", ["whole file", "inside config"])
+def test_deeply_nested_snapshot_is_a_file_error(where, tmp_path):
+    # nesting past the recursion limit: the parser raises RecursionError,
+    # not a JSON decode error
+    scenario = tmp_path / "scenario.json"
+    nested = "[" * 100_000 + "]" * 100_000
+    if where == "whole file":
+        scenario.write_text(nested)
+    else:
+        proc = run_cli("snapshot", *FAST, "--seed", "9", "--snapshot", str(scenario))
+        assert proc.returncode == 0, proc.stderr
+        text = scenario.read_text()
+        scenario.write_text(text.replace('"config": {', f'"config": {{"nested": {nested}, ', 1))
+    resaved = tmp_path / "resaved.json"
+    proc = run_cli("restore", "--snapshot", str(scenario), "--out", str(resaved))
+    assert proc.returncode == 3, proc.stderr
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert not resaved.exists()
+
+
 def test_missing_snapshot_file(tmp_path):
     proc = run_cli("restore", "--snapshot", str(tmp_path / "absent.json"))
     assert proc.returncode == 3

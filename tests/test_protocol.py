@@ -140,15 +140,15 @@ def test_default_deposit_fits_sixteen_qubit_groups():
 def test_deposit_collapses_only_the_recovery_pairs(monkeypatch):
     # every register a deposit discards is dropped, not collapsed: the
     # only collapses are the recovery X measurements, one per 2-qubit
-    # triple remnant.  Each swap test is decided from blocks of one cheque
-    # and one target qubit, and its 2n-qubit group, dropped unused, is
-    # never built: no state wider than a block exists
+    # triple remnant.  Each swap test is decided in closed form from
+    # blocks of one cheque and one target qubit, and its 2n-qubit group,
+    # dropped unused, is never built: no tensor product is built at all
     world, bank, _, _, cheque = issue(seed=22, params=SchemeParams())
     widths = collapse_widths(world)
     products = product_widths(monkeypatch)
     assert bank.verify_cheque(world, cheque).accepted
     assert widths and max(widths) <= 2
-    assert products and max(products) <= 2
+    assert products == []
     assert world.qubit_count == 0 and world._groups == []
 
 

@@ -14,6 +14,7 @@ from helpers import (
     swap_layout,
 )
 
+from qcheque import sim
 from qcheque.sim import (
     _BELL_BASIS,
     _X_BASIS,
@@ -26,6 +27,7 @@ from qcheque.sim import (
     BellOutcome,
     HadamardOutcome,
     Owner,
+    QubitHandle,
     StateGroup,
     World,
     _check_state_vector,
@@ -1086,3 +1088,125 @@ def test_zero_branch_at_settle_is_refused_and_leaves_the_projection(layout):
     assert world._index[b[0]] is group and group in world._groups
     # refused before anything is written: a scale by 1/0 would leave NaNs
     assert all(np.array_equal(factor, np.zeros(factor.size)) for factor in factors)
+
+
+# ----------------------------------------------------------------------
+# handles: (qid, owner) tuples that hash and compare in C
+# ----------------------------------------------------------------------
+
+
+def test_handles_are_equal_exactly_when_qid_and_owner_are():
+    handles = [QubitHandle(qid, owner) for qid in (0, 1, 5) for owner in Owner]
+    for h in handles:
+        for other in handles:
+            same = h.qid == other.qid and h.owner is other.owner
+            assert (h == other) is same and (h != other) is not same
+        twin = QubitHandle(h.qid, Owner(h.owner.value))
+        assert twin == h and hash(twin) == hash(h)
+    assert len(set(handles)) == len(handles)
+
+
+def test_handle_from_a_snapshot_pair_finds_the_live_group():
+    world = World(seed=0)
+    world.allocate(Owner.ALICE)
+    q = world.allocate_group([Owner.ALICE, Owner.BANK], [0.6, 0, 0, 0.8])[1]
+    found = sim._handle([q.qid, q.owner.value])
+    assert found == q and found in world
+    assert world.group_of(found) is world.group_of(q)
+    assert repr(QubitHandle(5, Owner.BANK)) == "q5<bank>"
+
+
+@pytest.mark.parametrize("gate", [PAULI_X, np.kron(PAULI_X, PAULI_Z)], ids=["2x2", "4x4"])
+def test_bare_handle_as_target_list_raises_and_changes_nothing(gate):
+    # a handle is a 2-tuple, so it unpacks to [qid, owner]: neither a
+    # target count that fits a one-qubit gate nor a pair of live handles
+    world = World(seed=0)
+    q = world.allocate(Owner.BANK, (0.6, 0.8))
+    world.allocate(Owner.ALICE)
+    before = world.to_json()
+    with pytest.raises(ValueError):
+        world.apply_gate(gate, q)
+    assert world.to_json() == before
+
+
+# ----------------------------------------------------------------------
+# fast paths against the general code they bypass
+# ----------------------------------------------------------------------
+
+
+def _block_product_terms(a, b):
+    """The norm and overlap of a swap-test block of two single qubits by
+    the general path: vdots over their product and its swapped view."""
+    psi = sim._product([a, b])
+    swapped = psi.reshape(2, 2).transpose(1, 0)
+    return np.vdot(psi, psi).real, np.vdot(psi, swapped).real
+
+
+def test_closed_form_pair_terms_match_the_block_product():
+    rng = np.random.default_rng(29)
+    for _ in range(256):
+        # norms off 1 by up to 1e-9, as allocation lets through
+        a, b = (haar_random_qubit(rng) * (1.0 + rng.uniform(-1e-9, 1e-9)) for _ in range(2))
+        norm, overlap = sim._pair_terms(a, b)
+        want_norm, want_overlap = _block_product_terms(a, b)
+        assert abs(norm - want_norm) <= 1e-15
+        assert abs(overlap - want_overlap) <= 1e-15
+    for a in (np.array([1.0, 0.0j]), haar_random_qubit(rng)):
+        assert abs(sim._pair_terms(a, a)[1] - 1.0) <= 1e-15
+
+
+def test_singleton_swap_tests_match_the_product_path(monkeypatch):
+    # the "singletons" layout is a deposit's swap tests: blocks of one
+    # cheque and one target qubit, one pair (an amount test) or several
+    # (the authentication test)
+    verdicts = set()
+    for seed in range(60):
+        for width in (1, 3):
+            world = World(seed=seed)
+            a, b = swap_layout(world, np.random.default_rng(seed), "singletons")
+            product_path = World.from_json(world.to_json())
+            passed = world.measure_swap(a[:width], b[:width])
+            with monkeypatch.context() as patched:
+                patched.setattr(sim, "_pair_terms", _block_product_terms)
+                assert product_path.measure_swap(a[:width], b[:width]) == passed
+            verdicts.add(passed)
+            assert world.rng.bit_generator.state == product_path.rng.bit_generator.state
+            assert world.to_json() == product_path.to_json()
+    assert verdicts == {True, False}
+
+
+def _always_permute(positions, n):
+    """`_front` without its identity shortcut: always a permutation, with
+    its inverse."""
+    perm = positions + tuple(i for i in range(n) if i not in positions)
+    return perm, tuple(perm.index(i) for i in range(n))
+
+
+def _amps_bytes(world, qubits):
+    return [world.group_of(q).amps.tobytes() for q in qubits]
+
+
+@pytest.mark.parametrize("kind", ["gate", "computational", "hadamard", "bell"])
+def test_leading_targets_skip_the_transpose_bit_for_bit(kind, monkeypatch):
+    # the targets lead their group in order, so the permutation that
+    # would bring them forward is the identity
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        world = World(seed=seed)
+        qs, _ = _random_group(world, rng, n)
+        forced = World.from_json(world.to_json())
+        width = 2 if kind == "bell" else int(rng.integers(1, 3))
+        gate = haar_random_unitary(rng, 2**width)
+        outcomes = []
+        for w, front in ((world, sim._front), (forced, _always_permute)):
+            with monkeypatch.context() as patched:
+                patched.setattr(sim, "_front", front)
+                if kind == "gate":
+                    w.apply_gate(gate, qs[:width])
+                else:
+                    outcomes.append(getattr(w, f"measure_{kind}")(*qs[:width if kind == "bell" else 1]))
+        assert outcomes[:1] == outcomes[1:]
+        live = [q for q in qs if q in world]
+        assert _amps_bytes(world, live) == _amps_bytes(forced, live)
+        assert world.to_json() == forced.to_json()
