@@ -13,6 +13,7 @@ selftest check fails), 2 for usage errors, 3 for file and parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -385,9 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: building costs more than parsing a command line
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         return args.func(args)

@@ -501,6 +501,11 @@ class Bank:
                 Message(_field(m, "session", int), _field(m, "seq", int), m["sender"],
                         m["receiver"], m["payload_type"], m["payload"])
             )
+        # the next session is numbered counter + 1, so a counter below a
+        # logged session would number a session twice
+        last = max((m.session for m in bank.transcript), default=0)
+        if bank._session_counter < last:
+            raise ValueError(f"session_counter {bank._session_counter} is below logged session {last}")
         return bank
 
 

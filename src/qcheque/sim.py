@@ -6,20 +6,22 @@ small registers stays cheap: cost scales with the largest entangled group,
 not with the total qubit count.  Multi-qubit operations merge groups on
 demand.
 
-Gates and merges run one code path at every group size: a gate moves its
-target axes to the front of the group tensor with one transpose, applies
-its matrix as one product and transposes back; a merge joins every group
-an operation spans in one balanced product of their amplitude vectors.
-Targets that already lead their group in order skip both transposes, and
-an operation on one qubit reaches its group with no merge bookkeeping.
-Each distinct gate matrix is checked for unitarity once and kept
-read-only in a bounded memo.
+The world keeps one registry, the qubit index, which maps every live
+qubit to its group; a group lives exactly while one of its qubits does.
+One target reaches its group through ``group_of``; several go through
+one resolver that checks they are distinct and merges their groups.  A
+gate on k targets moves their axes to the front of the group tensor with
+one transpose, applies its 2^k matrix as one product and transposes
+back (targets that already lead in order skip both); a merge joins every
+group an operation spans in one balanced product of their amplitude
+vectors.  Each distinct gate matrix is checked for unitarity once and
+kept read-only in a bounded memo.
 
 Every measurement is one collapse kernel, ``World._collapse``, run with a
 basis and a uniform.  Computational (Z) and Hadamard (X) measurement keep
 the qubit as a fresh singleton in the observed basis state; Bell
 measurement retires the measured pair for good.  Whatever else shared
-their group keeps the normalised branch, in place.  ``measure_swap``, the
+their group keeps the normalised branch.  ``measure_swap``, the
 swap test, is the one measurement outside that kernel: it projects two
 registers onto the symmetric or antisymmetric part of their joint state
 under exchange, an axis permutation of the group tensor, and keeps both
@@ -59,11 +61,6 @@ Conventions used throughout the package:
   seed and operation order reproduce runs bit for bit.
 * States are compared up to global phase everywhere.
 
-Each group's amplitude array is its own, and the collapse kernels write
-their results into it in place: ``_collapse`` and ``_build_branch``
-build a branch in a per-thread scratch buffer that never escapes the
-call, then write it, normalised, into the front of the group's array.
-
 ``reduced_density`` is an introspection tool for analysis: the selftest
 and the tests read states with it.  Protocol decision paths must only
 interact with the world through gates and measurements.
@@ -73,7 +70,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from enum import Enum
 from typing import NamedTuple
 
@@ -109,6 +105,8 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2
+# controlled swap on (control, a, b): exchanges |101> and |110>
+FREDKIN = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 6, 5, 7]]
 
 
 class Owner(str, Enum):
@@ -210,8 +208,9 @@ _UNITARY_TOL = 1e-9
 
 class StateGroup:
     """One connected component of the world: an ordered qubit list plus
-    a dense amplitude vector of length 2**len(qubits).  `amps` may be a
-    view of the front of a wider buffer the group held before.
+    its own dense amplitude vector of length 2**len(qubits).  The world
+    holds a group only through its qubit index, so a group lives exactly
+    while one of its qubits does.
 
     Two kinds of work may wait on a group until it is settled.
     `projection`, when not None, is a swap test's pending branch, held
@@ -301,18 +300,6 @@ def _product(vectors: list[np.ndarray]) -> np.ndarray:
     return np.multiply.outer(_product(vectors[:half]), _product(vectors[half:])).reshape(-1)
 
 
-_SCRATCH = threading.local()
-
-
-def _scratch(size: int) -> np.ndarray:
-    """The first `size` entries of this thread's complex scratch buffer,
-    grown to the widest branch a collapse has built on the thread."""
-    buf = getattr(_SCRATCH, "buf", None)
-    if buf is None or buf.size < size:
-        buf = _SCRATCH.buf = np.empty(size, dtype=complex)
-    return buf[:size]
-
-
 def _swap_axes(qubits: list[QubitHandle], pairs) -> list[int]:
     """The axis permutation of a tensor over `qubits` that exchanges the
     two qubits of each pair."""
@@ -323,24 +310,24 @@ def _swap_axes(qubits: list[QubitHandle], pairs) -> list[int]:
     return axes
 
 
-def _blocks(groups: list[StateGroup], links, pairs) -> list[tuple[list[StateGroup], list]]:
-    """Split `groups` into blocks, the components that `links` join, where
-    each link is the pair of groups holding the two qubits of the pair at
-    the same place in `pairs`; return each block's groups with its pairs.
-    A block that holds every group is `groups` itself, in its order.  A
-    swap test's two norms are products over these blocks."""
+def _blocks(groups: list[StateGroup], pairs, index) -> list[tuple[list[StateGroup], list]]:
+    """Split `groups` into blocks, the components that `pairs` join, where
+    a pair links the groups that `index` maps its two qubits to; return
+    each block's groups with its pairs.  A block that holds every group is
+    `groups` itself, in its order.  A swap test's two norms are products
+    over these blocks."""
     if len(pairs) == 1:
         return [(groups, pairs)]
     block_of = {g: [g] for g in groups}
-    for group_a, group_b in links:
-        block_a, block_b = block_of[group_a], block_of[group_b]
+    for a, b in pairs:
+        block_a, block_b = block_of[index[a]], block_of[index[b]]
         if block_a is not block_b:
             block_a += block_b
             for g in block_b:
                 block_of[g] = block_a
     blocks: dict[int, tuple[list[StateGroup], list]] = {}
-    for (g, _), pair in zip(links, pairs):
-        block = block_of[g]
+    for pair in pairs:
+        block = block_of[index[pair[0]]]
         if id(block) in blocks:
             blocks[id(block)][1].append(pair)
         else:
@@ -391,9 +378,13 @@ class World:
             raise ValueError("max_group_qubits must be positive")
         self.rng = np.random.default_rng(seed)
         self.max_group_qubits = max_group_qubits
-        self._groups: list[StateGroup] = []
         self._index: dict[QubitHandle, StateGroup] = {}
         self._next_qid = 0
+
+    @property
+    def _groups(self) -> dict[StateGroup, None]:
+        """The live groups, in creation order (see `_place`)."""
+        return dict.fromkeys(self._index.values())
 
     # ------------------------------------------------------------------
     # allocation and lookup
@@ -423,10 +414,17 @@ class World:
             handles.append(QubitHandle(self._next_qid, owner))
             self._next_qid += 1
         group = StateGroup(list(handles), vec)
-        self._groups.append(group)
         for h in handles:
             self._index[h] = group
         return handles
+
+    def _place(self, group: StateGroup) -> None:
+        """Point a new group's qubits, all live, at it.  Each is deleted and
+        inserted again so that it enters the index last: the live groups,
+        in order of their first qubit there, stay in creation order."""
+        for q in group.qubits:
+            del self._index[q]
+            self._index[q] = group
 
     def __contains__(self, handle: QubitHandle) -> bool:
         return handle in self._index
@@ -464,43 +462,39 @@ class World:
     # ------------------------------------------------------------------
 
     def apply_gate(self, gate, targets) -> None:
-        """Apply a 1- or 2-qubit unitary to the target handles.
+        """Apply a unitary on k >= 1 distinct target handles; the gate is
+        2**k square, its first index bit the first target.
 
         Targets in different groups cause a merge first; the merged group
         must stay under the world's size ceiling.
         """
         targets = list(targets)
         gate = _check_unitary(gate)
-        k = len(targets)
-        if gate.shape[0] != 2**k or k not in (1, 2):
-            raise ValueError("gate dimension must be 2 or 4 and match the target count")
-        if k == 1:
-            group = self.group_of(targets[0])
-        elif targets[0] == targets[1]:
-            raise ValueError("gate targets must be distinct")
-        else:
-            group = self._merged_group_for(targets)
+        if not targets or gate.shape[0] != 2 ** len(targets):
+            raise ValueError("gate dimension must be 2**k for k >= 1 targets")
+        group = self._group_for(targets)
         self._apply_unitary(group, gate, tuple(map(group.position, targets)))
 
     def apply_cswap(self, control: QubitHandle, a: QubitHandle, b: QubitHandle) -> None:
         """Controlled swap of qubits a and b, conditioned on the control."""
-        if len({control, a, b}) != 3:
-            raise ValueError("cswap targets must be distinct")
-        group = self._merged_group_for([control, a, b])
-        fredkin = np.eye(8, dtype=complex)
-        fredkin[[5, 6]] = fredkin[[6, 5]]
-        self._apply_unitary(group, fredkin, tuple(map(group.position, (control, a, b))))
+        self.apply_gate(FREDKIN, [control, a, b])
 
-    def _merged_group_for(self, targets) -> StateGroup:
+    def _group_for(self, targets: list[QubitHandle]) -> StateGroup:
+        """The one group that holds every target, settled: the targets'
+        own group, or the merge of theirs.  Targets must be distinct."""
+        if len(targets) == 1:
+            return self.group_of(targets[0])
+        if len(set(targets)) != len(targets):
+            raise ValueError("targets must be distinct")
         groups = self._groups_for(targets)
         return groups[0] if len(groups) == 1 else self._merge(*groups)
 
     def _merge(self, *groups: StateGroup) -> StateGroup:
-        """Replace `groups` by one group, last in `_groups`, whose qubits are
-        theirs in order.  A merge over the ceiling is refused before
-        anything changes."""
+        """Replace `groups` by one new group whose qubits are theirs in
+        order.  A merge over the ceiling is refused before anything
+        changes."""
         merged = StateGroup(self._joined(groups), _product([g.amps for g in groups]))
-        self._replace(groups, merged)
+        self._place(merged)
         return merged
 
     def _joined(self, groups) -> list[QubitHandle]:
@@ -512,15 +506,6 @@ class World:
                 f"over the ceiling of {self.max_group_qubits}"
             )
         return qubits
-
-    def _replace(self, groups, merged: StateGroup) -> None:
-        """Put `merged` last in `_groups` in place of `groups`, and point its
-        qubits at it."""
-        for g in groups:
-            self._groups.remove(g)
-        self._groups.append(merged)
-        for q in merged.qubits:
-            self._index[q] = merged
 
     def _apply_unitary(self, group: StateGroup, gate: np.ndarray, positions: tuple[int, ...]) -> None:
         n = len(group.qubits)
@@ -569,8 +554,6 @@ class World:
         except KeyError:
             raise ValueError(f"unknown or retired qubit handle {q!r}") from None
         group.pending.append((q, self.rng.random()))
-        if len(group.pending) == len(group.qubits):
-            self._groups.remove(group)
 
     def measure_swap(self, register_a, register_b) -> bool:
         """Swap-test measurement of two equal-length registers.
@@ -602,21 +585,12 @@ class World:
         # Pair by pair, so the one group orders the qubits as the Fredkin
         # cascade this measurement replaces did.
         pairs = list(zip(register_a, register_b))
-        if len(pairs) == 1:
-            (a, b), = pairs
-            if a == b:
-                raise ValueError("registers overlap or repeat a handle")
-            group_a, group_b = self.group_of(a), self.group_of(b)
-            links = [(group_a, group_b)]
-            groups = [group_a] if group_a is group_b else [group_a, group_b]
-        else:
-            targets = [q for pair in pairs for q in pair]
-            if len(set(targets)) != len(targets):
-                raise ValueError("registers overlap or repeat a handle")
-            links = [(self.group_of(a), self.group_of(b)) for a, b in pairs]
-            groups = list(dict.fromkeys(g for link in links for g in link))
+        targets = [q for pair in pairs for q in pair]
+        if len(set(targets)) != len(targets):
+            raise ValueError("registers overlap or repeat a handle")
+        groups = self._groups_for(targets)
         qubits = self._joined(groups)
-        blocks = _blocks(groups, links, pairs)
+        blocks = _blocks(groups, pairs, self._index)
         norm = overlap = 1.0
         factors = [g.amps for g in groups]
         for block, block_pairs in blocks:
@@ -641,7 +615,7 @@ class World:
             group = groups[0]
         else:
             group = StateGroup(qubits, None)
-            self._replace(groups, group)
+            self._place(group)
         group.amps, group.projection = None, (factors, pairs, passed)
         # The ancilla circuit drew a second uniform when it discarded the
         # ancilla; drawing it here keeps fixed-seed reports byte-identical.
@@ -652,43 +626,32 @@ class World:
         """Turn a group's pending swap-test projection into amplitudes.
 
         The product of the factors, in merge order, is the state the test
-        measured; its pass or fail branch psi +- S psi is built in a
-        per-thread scratch buffer and written back, normalised by one
-        real scale, into that product.  A zero branch raises before
-        anything is written.
+        measured; its pass or fail branch psi +- S psi, normalised by one
+        real scale, becomes the group's amplitudes.  A zero branch raises
+        before the group changes.
         """
         factors, pairs, passed = group.projection
-        amps = _product(factors)
-        psi = amps.reshape((2,) * group.n_qubits)
+        psi = _product(factors).reshape((2,) * group.n_qubits)
         swapped = psi.transpose(_swap_axes(group.qubits, pairs))
-        kept = _scratch(psi.size).reshape(psi.shape)
-        (np.add if passed else np.subtract)(psi, swapped, out=kept)
+        kept = (np.add if passed else np.subtract)(psi, swapped)
         norm = np.sqrt(float(np.vdot(kept, kept).real) / 4.0)
         if norm < 1e-12:
             raise RuntimeError("collapsed onto a zero branch; numerical state is corrupt")
-        np.multiply(kept, 1.0 / (2.0 * norm), out=psi)
-        group.amps, group.projection = amps, None
+        kept *= 1.0 / (2.0 * norm)
+        group.amps, group.projection = kept.reshape(-1), None
 
     def _measure(self, targets: list[QubitHandle], basis, retire: bool):
         """Born-rule measurement of `targets` in a basis built by `_basis`,
         with one uniform drawn now.  The targets are then retired, or
         re-adopted as a fresh group holding the chosen basis state.
         Returns the label."""
-        if len(targets) == 1:
-            group = self.group_of(targets[0])
-        elif len(set(targets)) != len(targets):
-            raise ValueError("measured qubits must be distinct")
-        else:
-            group = self._merged_group_for(targets)
+        group = self._group_for(targets)
         label, state = self._collapse(group, targets, basis, self.rng.random())
         if retire:
             for t in targets:
                 del self._index[t]
         else:
-            fresh = StateGroup(list(targets), state.copy())
-            self._groups.append(fresh)
-            for t in targets:
-                self._index[t] = fresh
+            self._place(StateGroup(list(targets), state.copy()))
         return label
 
     def _collapse(self, group: StateGroup, targets: list[QubitHandle], basis, u: float):
@@ -697,17 +660,16 @@ class World:
 
         The branches are projected out in basis order until their running
         probability exceeds `u`, so later branches cost nothing.  The
-        normalised residual is written into the front of the group's own
-        buffer and the targets leave its qubit list; a group left empty
-        leaves the world.  A zero branch raises before anything changes.
+        normalised residual becomes the group's amplitudes and the targets
+        leave its qubit list, unless they were all of it.  A zero branch
+        raises before anything changes.
         """
         k, n = len(targets), len(group.qubits)
         front = _front(tuple(map(group.position, targets)), n)
         psi = group.amps.reshape((2,) * n)
         if front is not None:
             psi = psi.transpose(front[0])
-        size = group.amps.size >> k
-        kept = _scratch(size)
+        kept = np.empty(group.amps.size >> k, dtype=complex)
         branch = kept.reshape((2,) * (n - k))
         acc = 0.0
         for label, state, terms in basis:
@@ -725,9 +687,7 @@ class World:
         if k < n:
             group.qubits = [q for q in group.qubits if q not in targets]
             # a real scale; a complex division costs 4-7x more
-            group.amps = np.multiply(kept, 1.0 / norm, out=group.amps[:size])
-        else:
-            self._groups.remove(group)
+            group.amps = np.multiply(kept, 1.0 / norm, out=kept)
         return label, state
 
     # ------------------------------------------------------------------
@@ -759,6 +719,8 @@ class World:
         return rho.reshape(2**k, 2**k)
 
     def _groups_for(self, handles) -> list[StateGroup]:
+        """The settled groups of `handles`, each once, in first-use order;
+        an operation spans few groups, so a list scan beats a dict."""
         groups: list[StateGroup] = []
         for q in handles:
             g = self.group_of(q)
@@ -769,9 +731,8 @@ class World:
     def check_partition(self) -> None:
         """Settle every group, then assert the group partition invariant;
         raises on violation."""
-        self._settle_all()
         seen: set[QubitHandle] = set()
-        for g in self._groups:
+        for g in self._settle_all():
             if not 1 <= g.n_qubits <= self.max_group_qubits:
                 raise AssertionError(f"group of {g.n_qubits} qubits is outside "
                                      f"[1, max_group_qubits={self.max_group_qubits}]")
@@ -792,14 +753,16 @@ class World:
     # persistence
     # ------------------------------------------------------------------
 
-    def _settle_all(self) -> None:
-        for g in self._groups:
+    def _settle_all(self) -> list[StateGroup]:
+        """Settle every live group; return them in creation order."""
+        groups = list(self._groups)
+        for g in groups:
             self._settle(g)
+        return groups
 
     def to_json(self) -> dict:
-        self._settle_all()
         groups = []
-        for g in self._groups:
+        for g in self._settle_all():
             groups.append(
                 {
                     "qubits": [[q.qid, q.owner.value] for q in g.qubits],
@@ -846,7 +809,6 @@ class World:
             amps = np.array([complex(re, im) for re, im in entry["amplitudes"]], dtype=complex)
             _check_state_vector(amps, 2 ** len(handles))
             group = StateGroup(handles, amps)
-            world._groups.append(group)
             for q in handles:
                 if q.qid in qids:
                     raise ValueError(f"snapshot lists qubit id {q.qid} twice")

@@ -251,6 +251,12 @@ def _fractional_transcript_seq(doc):
     doc["bank"]["transcript"][0]["seq"] = 0.5
 
 
+# The next session is numbered counter + 1: a counter below a logged
+# session would log that session's number a second time.
+def _session_counter_below_transcript(doc):
+    doc["bank"]["session_counter"] = 0
+
+
 def _next_qid_as_text(doc):
     doc["world"]["next_qid"] = str(doc["world"]["next_qid"])
 
@@ -279,6 +285,7 @@ def _infinite_payload_value(doc):
      _signature_bits_below_minimum, _insecure_flag_as_text, _fractional_triple_count,
      _spent_flag_as_text, _short_preimages, _kappa2_as_bool, _fractional_cheque_qubit_id,
      _cheque_qubit_id_as_text, _fractional_vault_qubit_id, _fractional_transcript_seq,
+     _session_counter_below_transcript,
      _next_qid_as_text, _fractional_group_ceiling, _fractional_group_qubit_id,
      _preimage_bits_as_float, _signature_bits_as_float, _nan_seed_in_config,
      _infinite_payload_value],

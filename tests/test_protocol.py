@@ -149,7 +149,7 @@ def test_deposit_collapses_only_the_recovery_pairs(monkeypatch):
     assert bank.verify_cheque(world, cheque).accepted
     assert widths and max(widths) <= 2
     assert products == []
-    assert world.qubit_count == 0 and world._groups == []
+    assert world.qubit_count == 0 and not world._groups
 
 
 def test_swap_test_over_the_group_ceiling_is_refused_before_any_change():
@@ -352,6 +352,22 @@ def test_bank_json_round_trip_preserves_everything():
     assert record.spent and record.destroyed
     # sessions keep counting from where the snapshot left off
     assert restored._session_counter == bank._session_counter
+
+
+def test_bank_refuses_a_session_counter_below_its_transcript():
+    # the next session is numbered counter + 1, so a counter below a
+    # logged session would log that session's number twice
+    world, bank, _, _, cheque = issue(seed=25)
+    bank.verify_cheque(world, cheque)
+    doc = bank.to_json()
+    assert max(m["session"] for m in doc["transcript"]) == doc["session_counter"] == 2
+    for counter in (-1, 0, 1):
+        with pytest.raises(ValueError, match="below logged session 2"):
+            Bank.from_json({**doc, "session_counter": counter})
+    empty = Bank().to_json()
+    assert Bank.from_json(empty).to_json() == empty
+    with pytest.raises(ValueError, match="below logged session 0"):
+        Bank.from_json({**empty, "session_counter": -1})
 
 
 def test_bank_with_an_int_threshold_round_trips_byte_identically():

@@ -1,6 +1,9 @@
 import functools
+import itertools
 import json
+import statistics
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from qcheque.sim import (
     _X_BASIS,
     _Z_BASIS,
     BELL_STATES,
+    FREDKIN,
     HADAMARD,
     ID2,
     PAULI_X,
@@ -28,7 +32,6 @@ from qcheque.sim import (
     HadamardOutcome,
     Owner,
     QubitHandle,
-    StateGroup,
     World,
     _check_state_vector,
     _check_unitary,
@@ -623,9 +626,9 @@ def test_snapshot_rejects_invalid_worlds(corrupt, message):
 @pytest.mark.parametrize("case", ["empty group", "group over ceiling"])
 def test_partition_check_flags_group_size_outside_ceiling(case):
     world = World(seed=53)
-    world.allocate_group([Owner.ALICE] * 2, [1, 0, 0, 0])
+    qs = world.allocate_group([Owner.ALICE] * 2, [1, 0, 0, 0])
     if case == "empty group":
-        world._groups.append(StateGroup([], np.ones(1, dtype=complex)))
+        world.group_of(qs[0]).qubits.clear()
     else:
         world.max_group_qubits = 1
     with pytest.raises(AssertionError, match="qubits is outside"):
@@ -727,15 +730,17 @@ def _target_lists(n):
 
 
 def test_gates_match_tensordot_oracle():
-    # every target position and order, groups of 1-6 qubits
+    # every target position and order, groups of 1-6 qubits; random 1- and
+    # 2-qubit gates, and the Fredkin gate on three targets
     for seed in range(20):
         rng = np.random.default_rng(seed)
         for n in range(1, 7):
             world = World(seed=seed)
             qs, expected = _random_group(world, rng, n)
             singles, pairs = _target_lists(n)
-            for positions in singles + pairs:
-                gate = haar_random_unitary(rng, 2 ** len(positions))
+            triples = [list(t) for t in itertools.permutations(range(n), 3)]
+            for positions in singles + pairs + triples:
+                gate = FREDKIN if len(positions) == 3 else haar_random_unitary(rng, 2 ** len(positions))
                 world.apply_gate(gate, [qs[i] for i in positions])
                 expected = _oracle_apply(expected, gate, positions)
                 got = world.group_of(qs[0]).amps
@@ -770,7 +775,7 @@ def test_k_way_merge_matches_kron_fold():
         merged = world._merge(*groups)
         assert merged.qubits == [q for qs, _ in parts for q in qs]
         assert np.max(np.abs(merged.amps - functools.reduce(np.kron, [a for _, a in parts]))) < 1e-12
-        assert world._groups[-1] is merged
+        assert list(world._groups)[-1] is merged
         assert world.group_of(bystander[0]) in world._groups
         world.check_partition()
 
@@ -798,8 +803,8 @@ def test_measurements_match_moveaxis_oracle(kind):
 
 
 # ----------------------------------------------------------------------
-# collapse kernels: branches built in a per-thread scratch, residuals
-# written back into the group's own buffer
+# collapse kernels: branches and residuals against the same arithmetic
+# on fresh arrays
 # ----------------------------------------------------------------------
 
 
@@ -843,8 +848,8 @@ def _collapse_both(world, reference, qs, expected, kind, positions):
 
 def test_collapses_match_fresh_arrays_bit_for_bit():
     # every kind of collapse on groups of 1-12 qubits, then a chain of
-    # discards and narrow swap tests on what is left, so residuals are
-    # written into the front of buffers that held wider states
+    # measurements and narrow swap tests on what is left, so each group
+    # narrows step by step from a wide state
     kinds = [(kind, width) for kind, (width, _) in _COLLAPSES.items()]
     kinds += [("swap", 2 * w) for w in range(1, 7)]
     for seed in range(20):
@@ -1017,6 +1022,25 @@ def test_fully_discarded_group_is_dropped_without_collapse():
     world.check_partition()
 
 
+def test_discard_cost_does_not_grow_with_the_world():
+    # the qubit index is the one registry, so a group that leaves the
+    # world costs no scan of the others: a singleton discarded from a
+    # world of 40,000 groups costs about what it does among 20
+    def discard_ns(world):
+        q = world.allocate(Owner.ALICE)
+        start = time.perf_counter_ns()
+        world.discard(q)
+        return time.perf_counter_ns() - start
+
+    small, large = World(seed=1), World(seed=2)
+    for world, groups in ((small, 20), (large, 40_000)):
+        for _ in range(groups):
+            world.allocate(Owner.ALICE)
+    costs = [(discard_ns(small), discard_ns(large)) for _ in range(200)]
+    small_ns, large_ns = (statistics.median(side) for side in zip(*costs))
+    assert large_ns <= 20 * small_ns, (small_ns, large_ns)
+
+
 # ----------------------------------------------------------------------
 # deferred swap-test projection: the verdict comes from per-block norms,
 # and the branch is built only when its group is next used
@@ -1027,7 +1051,7 @@ def _eager_swap(world, register_a, register_b):
     """The swap test built at once: one merge, then `_fresh_swap` with
     the verdict drawn from the merged state."""
     targets = [q for pair in zip(register_a, register_b) for q in pair]
-    group = world._merged_group_for(targets)
+    group = world._group_for(targets)
     pairs = [(group.position(a), group.position(b)) for a, b in zip(register_a, register_b)]
     passed, group.amps = _fresh_swap(group.amps, pairs, world.rng.random())
     world.rng.random()
@@ -1068,7 +1092,7 @@ def test_fully_discarded_swap_test_group_is_never_built(layout, monkeypatch):
     widths, products = collapse_widths(world), product_widths(monkeypatch)
     for q in handles(world):
         world.discard(q)
-    assert widths == [] and products == [] and world._groups == []
+    assert widths == [] and products == [] and not world._groups
     world.check_partition()
 
 
