@@ -25,7 +25,6 @@ from .adversary import (
     ACCOUNT_ID,
     AMOUNT_UNITS,
     STRATEGIES,
-    AttackStats,
     clone_qubit,
     run_attack,
     run_honest,
@@ -85,15 +84,6 @@ def _build_params(args) -> SchemeParams:
     )
 
 
-def _config_doc(args, params: SchemeParams, strategy: str | None) -> dict:
-    return {
-        "params": params.to_json(),
-        "trials": args.trials,
-        "seed": args.seed,
-        "strategy": strategy,
-    }
-
-
 def _header(command: str) -> dict:
     """The fields every report document starts with."""
     return {
@@ -104,34 +94,31 @@ def _header(command: str) -> dict:
     }
 
 
-def _report(command: str, config_doc: dict, stats: AttackStats) -> tuple[dict, int]:
+def cmd_run(args) -> int:
+    """`run-honest`, whose strategy is None, or `attack`: sample the
+    trials and report whether the rate agrees with its prediction."""
+    params = _build_params(args)
+    if args.strategy is None:
+        stats = run_honest(params, args.trials, args.seed)
+    else:
+        stats = run_attack(args.strategy, params, args.trials, args.seed)
     agrees = within_sigma(
         stats.empirical_rate, stats.analytic_rate, stats.analytic_sigma, z=4.0
     )
     doc = {
-        **_header(command),
-        "config": config_doc,
+        **_header(args.command),
+        "config": {
+            "params": params.to_json(),
+            "trials": args.trials,
+            "seed": args.seed,
+            "strategy": args.strategy,
+        },
         "stats": stats.to_json(),
         "within_4_sigma": agrees,
         "status": "PASS" if agrees else "FAIL",
     }
-    return doc, 0 if agrees else 1
-
-
-def cmd_run_honest(args) -> int:
-    params = _build_params(args)
-    stats = run_honest(params, args.trials, args.seed)
-    doc, code = _report("run-honest", _config_doc(args, params, None), stats)
     _emit(_dump(doc), args.out)
-    return code
-
-
-def cmd_attack(args) -> int:
-    params = _build_params(args)
-    stats = run_attack(args.strategy, params, args.trials, args.seed)
-    doc, code = _report("attack", _config_doc(args, params, args.strategy), stats)
-    _emit(_dump(doc), args.out)
-    return code
+    return 0 if agrees else 1
 
 
 def _scenario(config: dict, world: World, bank: Bank, cheque: QuantumCheque) -> dict:
@@ -145,17 +132,17 @@ def _scenario(config: dict, world: World, bank: Bank, cheque: QuantumCheque) -> 
     }
 
 
-def _scenario_doc(args, params: SchemeParams) -> dict:
-    world = World(seed=args.seed)
+def _scenario_doc(seed: int, params: SchemeParams) -> dict:
+    world = World(seed=seed)
     bank = Bank()
     book, _ = bank.gen_account(world, ACCOUNT_ID, params)
     cheque = sign_cheque(world, book, encode_amount(AMOUNT_UNITS))
-    return _scenario({"params": params.to_json(), "seed": args.seed}, world, bank, cheque)
+    return _scenario({"params": params.to_json(), "seed": seed}, world, bank, cheque)
 
 
 def cmd_snapshot(args) -> int:
     params = _build_params(args)
-    doc = _scenario_doc(args, params)
+    doc = _scenario_doc(args.seed, params)
     with open(args.snapshot, "w", encoding="utf-8") as fh:
         fh.write(_dump(doc))
     world_doc = doc["world"]
@@ -171,22 +158,18 @@ def cmd_snapshot(args) -> int:
     return 0
 
 
-def _load_scenario(path: str) -> tuple[str, World, Bank, QuantumCheque]:
-    """The text a scenario re-saves to, and its world, bank and cheque,
-    each validated; refused unless that text is the document's own."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliFileError(f"cannot read {path}: {exc}") from exc
+def _restored(text: str, where: str) -> dict:
+    """The scenario document `text` holds, once its world, bank and cheque
+    have loaded and passed their checks; refused unless they re-save to
+    that document.  `where` names the text in error messages."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliFileError(
-            f"{path}: parse error at byte offset {exc.pos}: {exc.msg}"
+            f"{where}: parse error at byte offset {exc.pos}: {exc.msg}"
         ) from exc
     except RecursionError as exc:
-        raise CliFileError(f"{path}: parse error: nested too deeply") from exc
+        raise CliFileError(f"{where}: parse error: nested too deeply") from exc
     try:
         _document(doc, SCENARIO_FORMAT, SCENARIO_VERSION)
         config = doc["config"]
@@ -202,24 +185,28 @@ def _load_scenario(path: str) -> tuple[str, World, Bank, QuantumCheque]:
         rebuilt = _scenario(config, world, bank, cheque)
         if _compact(rebuilt) != _compact(doc):
             raise ValueError("it does not re-save to the same document")
-        resaved = _dump(rebuilt)
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise CliFileError(f"{path}: invalid snapshot contents: {exc}") from exc
-    return resaved, world, bank, cheque
+        raise CliFileError(f"{where}: invalid snapshot contents: {exc}") from exc
+    return rebuilt
 
 
 def cmd_restore(args) -> int:
-    resaved, world, bank, cheque = _load_scenario(args.snapshot)
+    try:
+        with open(args.snapshot, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CliFileError(f"cannot read {args.snapshot}: {exc}") from exc
+    doc = _restored(text, args.snapshot)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(resaved)
+            fh.write(_dump(doc))
     summary = {
         **_header("restore"),
         "snapshot_path": args.snapshot,
-        "accounts": len(bank.to_json()["records"]),
-        "live_qubits": world.qubit_count,
-        "transcript_messages": len(bank.transcript),
-        "cheque_serial": str(cheque.serial),
+        "accounts": len(doc["bank"]["records"]),
+        "live_qubits": sum(len(g["qubits"]) for g in doc["world"]["groups"]),
+        "transcript_messages": len(doc["bank"]["transcript"]),
+        "cheque_serial": doc["cheque"]["serial"],
         "status": "PASS",
     }
     sys.stdout.write(_dump(summary))
@@ -275,18 +262,9 @@ def _check_replay_rejected(seed: int) -> None:
 
 
 def _check_snapshot_stable(seed: int) -> None:
-    world = World(seed=seed)
-    bank = Bank()
-    book, _ = bank.gen_account(world, ACCOUNT_ID, SchemeParams(ghz_triples=2, auth_qubits=2))
-    sign_cheque(world, book, encode_amount(5))
-    once = _dump(world.to_json())
-    twice = _dump(World.from_json(json.loads(once)).to_json())
-    if once != twice:
-        raise AssertionError("world snapshot does not round-trip byte-identically")
-    bank_once = _dump(bank.to_json())
-    bank_twice = _dump(Bank.from_json(json.loads(bank_once)).to_json())
-    if bank_once != bank_twice:
-        raise AssertionError("bank snapshot does not round-trip byte-identically")
+    """`restore`'s own validation of the scenario `snapshot` writes."""
+    params = SchemeParams(ghz_triples=2, auth_qubits=2)
+    _restored(_dump(_scenario_doc(seed, params)), "scenario")
 
 
 def cmd_selftest(args) -> int:
@@ -302,7 +280,7 @@ def cmd_selftest(args) -> int:
         try:
             check()
             results.append({"name": name, "passed": True})
-        except AssertionError as exc:
+        except (AssertionError, CliFileError) as exc:
             results.append({"name": name, "passed": False, "detail": str(exc)})
     all_passed = all(r["passed"] for r in results)
     doc = {
@@ -354,12 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-honest", parents=[scheme, run],
                        help="sign and deposit honestly, report the acceptance rate")
-    p.set_defaults(func=cmd_run_honest)
+    p.set_defaults(func=cmd_run, strategy=None)
 
     p = sub.add_parser("attack", parents=[scheme, run],
                        help="run an adversary strategy and compare with analytics")
     p.add_argument("--strategy", choices=STRATEGIES, required=True)
-    p.set_defaults(func=cmd_attack)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("snapshot", parents=[scheme],
                        help="persist a freshly signed scenario to a file")

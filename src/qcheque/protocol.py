@@ -30,7 +30,7 @@ one recovery outcome message crosses the bank/branch boundary per triple.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -94,9 +94,6 @@ class AcceptancePolicy:
             return True
         return sum(passes) / len(passes) >= self.kappa2
 
-    def to_json(self) -> dict:
-        return {"mode": self.mode, "kappa2": self.kappa2}
-
     @classmethod
     def from_json(cls, doc: dict) -> "AcceptancePolicy":
         return cls(mode=doc["mode"], kappa2=_field(doc, "kappa2", (int, float)))
@@ -132,14 +129,7 @@ class SchemeParams:
             raise ValueError("serial_bits must be at least 64")
 
     def to_json(self) -> dict:
-        return {
-            "ghz_triples": self.ghz_triples,
-            "auth_qubits": self.auth_qubits,
-            "key_bits": self.key_bits,
-            "serial_bits": self.serial_bits,
-            "policy": self.policy.to_json(),
-            "allow_insecure_key_bits": self.allow_insecure_key_bits,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "SchemeParams":
@@ -456,17 +446,7 @@ class Bank:
             "signature_bits": PREIMAGE_BITS,
             "session_counter": self._session_counter,
             "records": records,
-            "transcript": [
-                {
-                    "session": m.session,
-                    "seq": m.seq,
-                    "sender": m.sender,
-                    "receiver": m.receiver,
-                    "payload_type": m.payload_type,
-                    "payload": m.payload,
-                }
-                for m in self.transcript
-            ],
+            "transcript": [m._asdict() for m in self.transcript],
         }
 
     @classmethod

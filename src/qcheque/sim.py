@@ -498,11 +498,12 @@ class World:
         return merged
 
     def _joined(self, groups) -> list[QubitHandle]:
-        """The qubits of `groups` in order, refused over the ceiling."""
+        """The qubits of `groups` in order, refused over the ceiling; every
+        operation that joins groups, merge or introspection, checks here."""
         qubits = [q for g in groups for q in g.qubits]
         if len(qubits) > self.max_group_qubits:
             raise ValueError(
-                f"merging would create a {len(qubits)}-qubit group, "
+                f"the operation needs a {len(qubits)}-qubit group, "
                 f"over the ceiling of {self.max_group_qubits}"
             )
         return qubits
@@ -592,7 +593,6 @@ class World:
         qubits = self._joined(groups)
         blocks = _blocks(groups, pairs, self._index)
         norm = overlap = 1.0
-        factors = [g.amps for g in groups]
         for block, block_pairs in blocks:
             if len(block) == 2 and len(block[0].qubits) == len(block[1].qubits) == 1:
                 block_norm, block_overlap = _pair_terms(block[0].amps, block[1].amps)
@@ -604,8 +604,6 @@ class World:
             swapped = psi.reshape((2,) * len(block_qubits)).transpose(_swap_axes(block_qubits, block_pairs))
             norm *= np.vdot(psi, psi).real
             overlap *= np.vdot(psi, swapped).real
-            if len(blocks) == 1:  # one block's product, in merge order, is the merged state
-                factors = [psi]
         u = self.rng.random()
         passed = u < float(norm + overlap) / 2.0
         p = float(norm + overlap if passed else norm - overlap) / 2.0
@@ -616,7 +614,7 @@ class World:
         else:
             group = StateGroup(qubits, None)
             self._place(group)
-        group.amps, group.projection = None, (factors, pairs, passed)
+        group.amps, group.projection = None, ([g.amps for g in groups], pairs, passed)
         # The ancilla circuit drew a second uniform when it discarded the
         # ancilla; drawing it here keeps fixed-seed reports byte-identical.
         self.rng.random()
@@ -702,12 +700,8 @@ class World:
         if not subset:
             raise ValueError("subset must not be empty")
         groups = self._groups_for(subset)
-        joined = [q for g in groups for q in g.qubits]
+        joined = self._joined(groups)
         m = len(joined)
-        if m > self.max_group_qubits:
-            raise ValueError(
-                f"introspection across {m} qubits exceeds the ceiling of {self.max_group_qubits}"
-            )
         keep = [joined.index(q) for q in subset]
         traced = [i for i in range(m) if i not in keep]
         psi_t = _product([g.amps for g in groups]).reshape((2,) * m)

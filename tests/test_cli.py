@@ -1,11 +1,17 @@
-"""The command-line surface, exercised through real subprocesses."""
+"""The command-line surface, exercised through real subprocesses, and in
+process where a test patches a loader."""
 
 import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
+
+from qcheque.adversary import AMOUNT_UNITS
+from qcheque.cli import main
+from qcheque.protocol import QuantumCheque, encode_amount
 
 BASE = [sys.executable, "-m", "qcheque"]
 FAST = ["--l", "2", "--n", "2", "--key-bits", "64", "--serial-bits", "64"]
@@ -181,6 +187,18 @@ def test_selftest_passes():
     assert proc.returncode == 0, proc.stdout
     doc = json.loads(proc.stdout)
     assert all(check["passed"] for check in doc["checks"])
+
+
+def test_selftest_fails_when_a_cheque_does_not_re_save(monkeypatch, capsys):
+    load = QuantumCheque.from_json
+    monkeypatch.setattr(
+        QuantumCheque, "from_json",
+        staticmethod(lambda doc: replace(load(doc), amount=encode_amount(AMOUNT_UNITS + 1))),
+    )
+    assert main(["selftest", "--seed", "3"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert not checks["snapshot-roundtrip"]["passed"]
+    assert "does not re-save to the same document" in checks["snapshot-roundtrip"]["detail"]
 
 
 def _rng_as_list(doc):

@@ -1,7 +1,7 @@
 """End-to-end issue/sign/deposit behaviour, ledger rules, persistence."""
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from helpers import collapse_widths, flip, messages_in_session, product_widths
@@ -60,7 +60,7 @@ def test_threshold_policy_counts_fractions():
 
 def test_policy_json_round_trip():
     policy = AcceptancePolicy(mode="threshold", kappa2=0.9)
-    assert AcceptancePolicy.from_json(policy.to_json()) == policy
+    assert AcceptancePolicy.from_json(asdict(policy)) == policy
 
 
 # ---------------------------------------------------------------- params

@@ -249,6 +249,18 @@ def test_refused_cswap_leaves_world_unchanged():
     assert world.to_json() == before
 
 
+def test_refused_reduced_density_leaves_world_unchanged():
+    rng = np.random.default_rng(8)
+    world = World(seed=8, max_group_qubits=4)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    a = world.allocate_group([Owner.ALICE] * 3, amps / np.linalg.norm(amps))
+    b = world.allocate_group([Owner.PAYEE] * 2, [0.5, 0.5, 0.5, -0.5])
+    before = world.to_json()
+    with pytest.raises(ValueError, match="5-qubit group"):
+        world.reduced_density([a[0], b[0]])
+    assert world.to_json() == before
+
+
 def test_cswap_control_off_and_on():
     world = World(seed=0)
     c = world.allocate(Owner.BANK)
