@@ -91,4 +91,4 @@ def frame_fields(*fields: BitString) -> bytes:
     Each field contributes a 4-byte big-endian bit count followed by its
     packed payload, so ("ab", "c") and ("a", "bc") frame differently.
     """
-    return b"".join([len(f).to_bytes(4, "big") + f.to_bytes() for f in fields])
+    return b"".join([f.length.to_bytes(4, "big") + f._packed for f in fields])

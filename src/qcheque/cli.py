@@ -17,6 +17,7 @@ import functools
 import json
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -280,8 +281,9 @@ def cmd_selftest(args) -> int:
         try:
             check()
             results.append({"name": name, "passed": True})
-        except (AssertionError, CliFileError) as exc:
-            results.append({"name": name, "passed": False, "detail": str(exc)})
+        except Exception as exc:  # any exception fails its check, never the report
+            traceback.print_exc(file=sys.stderr)
+            results.append({"name": name, "passed": False, "detail": f"{type(exc).__name__}: {exc}"})
     all_passed = all(r["passed"] for r in results)
     doc = {
         **_header("selftest"),

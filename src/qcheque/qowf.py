@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 
 from .bits import BitString, frame_fields
 from .sim import Owner, QubitHandle, World
@@ -37,6 +38,9 @@ __all__ = [
 _HASH = hashlib.sha256
 _BLOCK = 32
 _TWO_64 = float(2**64)
+_TWO_PI = 2.0 * math.pi
+# one qubit's 16 bytes of stream: the theta word, then the phi word
+_QUBIT_WORDS = struct.Struct(">QQ")
 
 _AUTH_TAG = BitString.from_text("auth-state")
 _AMOUNT_TAG = BitString.from_text("amount-state")
@@ -45,9 +49,8 @@ _INDEX_WIDTH = (32).to_bytes(4, "big")
 
 def _expand(data: bytes, nbytes: int) -> bytes:
     """Counter-mode expansion of `data` to an arbitrary-length stream."""
-    blocks = []
-    for counter in range((nbytes + _BLOCK - 1) // _BLOCK):
-        blocks.append(_HASH(data + counter.to_bytes(4, "big")).digest())
+    blocks = [_HASH(data + counter.to_bytes(4, "big")).digest()
+              for counter in range((nbytes + _BLOCK - 1) // _BLOCK)]
     return b"".join(blocks)[:nbytes]
 
 
@@ -59,14 +62,8 @@ def derive_angles(data: bytes, count: int) -> list[tuple[float, float]]:
     """
     if count < 1:
         raise ValueError("count must be positive")
-    stream = _expand(data, 16 * count)
-    angles = []
-    for j in range(count):
-        chunk = stream[16 * j : 16 * (j + 1)]
-        u1 = int.from_bytes(chunk[:8], "big") / _TWO_64
-        u2 = int.from_bytes(chunk[8:], "big") / _TWO_64
-        angles.append((math.acos(math.sqrt(u1)), 2.0 * math.pi * u2))
-    return angles
+    return [(math.acos(math.sqrt(w1 / _TWO_64)), _TWO_PI * (w2 / _TWO_64))
+            for w1, w2 in _QUBIT_WORDS.iter_unpack(_expand(data, 16 * count))]
 
 
 def angles_to_amplitudes(theta: float, phi: float) -> tuple[complex, complex]:

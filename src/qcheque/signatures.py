@@ -1,10 +1,19 @@
 """One-time digital signatures used to authorise cheque serial numbers.
 
-The scheme is a Lamport construction over SHA-256: the secret key
-is a pair of random preimages per digest bit, the public key holds their
-hashes, and a signature reveals one preimage per bit.  Each secret key
-signs exactly once; a second use is refused rather than silently leaking
-the complement preimages.
+The scheme is a Lamport construction over SHA-256 (Lamport, *Constructing
+digital signatures from a one-way function*, 1979): the secret key is a
+pair of random preimages per digest bit, the public key holds their
+hashes, and a signature reveals one preimage per bit, the 256 of them
+end to end.  Each secret key signs exactly once; a second use is refused
+rather than silently leaking the complement preimages.
+
+Signing and verifying are pure-Python byte work at hash speed: the
+message's digest bits come from the digest's binary numeral, each bit
+picks its entry of a pair in one `operator.getitem` map, one `struct`
+unpack splits a signature into its preimages, and verification hashes
+them in one pass and compares the list of hashes with the list of picked
+entries once.  Verification is total: a malformed key, message or
+signature yields False.
 
 The bank snapshots public keys only; secret keys never leave memory.
 """
@@ -12,6 +21,8 @@ The bank snapshots public keys only; secret keys never leave memory.
 from __future__ import annotations
 
 import hashlib
+import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +43,10 @@ PREIMAGE_BITS = 128
 _PREIMAGE_BYTES = PREIMAGE_BITS // 8
 _SIGNATURE_BYTES = _PREIMAGE_BYTES * _DIGEST_BITS
 _HASH_BYTES = 32
+# a signature as its preimages, in digest-bit order
+_PREIMAGES = struct.Struct(f"{_PREIMAGE_BYTES}s" * _DIGEST_BITS)
+# the ASCII digits of a binary numeral as the bytes 0 and 1
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -55,9 +70,16 @@ class KeyPair:
     secret: LamportSecretKey
 
 
-def _message_digest_bits(message: BitString) -> list[int]:
-    digest = hashlib.sha256(frame_fields(message)).digest()
-    return np.unpackbits(np.frombuffer(digest, dtype=np.uint8)).tolist()
+def _message_digest_bits(message: BitString) -> bytes:
+    """The SHA-256 digest bits of the framed message, most significant
+    first, one byte of value 0 or 1 per bit."""
+    digest = int.from_bytes(hashlib.sha256(frame_fields(message)).digest(), "big")
+    return format(digest, f"0{_DIGEST_BITS}b").encode().translate(_DIGIT_VALUES)
+
+
+def _selected(entries, message: BitString) -> list[bytes]:
+    """The entry of each pair that the message's digest bit picks."""
+    return list(map(operator.getitem, entries, _message_digest_bits(message)))
 
 
 class LamportSignatureScheme:
@@ -82,21 +104,22 @@ class LamportSignatureScheme:
     def sign(self, secret_key: LamportSecretKey, message: BitString) -> bytes:
         if secret_key.used:
             raise ValueError("one-time secret key has already signed a message")
-        bits = _message_digest_bits(message)
+        signature = b"".join(_selected(secret_key.entries, message))
         secret_key.used = True
-        return b"".join([pair[b] for pair, b in zip(secret_key.entries, bits)])
+        return signature
 
     def verify(self, public_key: LamportPublicKey, message: BitString, signature: bytes) -> bool:
-        """Total verification: malformed input yields False, never an exception."""
-        if not isinstance(public_key, LamportPublicKey):
+        """Total verification: malformed input yields False, never an
+        exception.  The key must be a `LamportPublicKey`, the message a
+        `BitString` and the signature `bytes` or a `bytearray` of the
+        signature length."""
+        if not isinstance(public_key, LamportPublicKey) or not isinstance(message, BitString):
             return False
         if not isinstance(signature, (bytes, bytearray)) or len(signature) != _SIGNATURE_BYTES:
             return False
         sha256 = hashlib.sha256
-        revealed = b"".join([sha256(signature[i : i + _PREIMAGE_BYTES]).digest()
-                             for i in range(0, _SIGNATURE_BYTES, _PREIMAGE_BYTES)])
-        expected = b"".join([pair[b] for pair, b in zip(public_key.entries, _message_digest_bits(message))])
-        return revealed == expected
+        revealed = [sha256(preimage).digest() for preimage in _PREIMAGES.unpack(signature)]
+        return revealed == _selected(public_key.entries, message)
 
     # serialization, used by bank database snapshots
 
@@ -117,8 +140,6 @@ class LamportSignatureScheme:
                 f"public key has {doc.get('preimage_bits')!r}-bit preimages, expected {PREIMAGE_BITS}"
             )
         entries = tuple((bytes.fromhex(a), bytes.fromhex(b)) for a, b in doc["entries"])
-        # verify compares all selected entries joined, which is the
-        # per-entry comparison only while every entry is one digest long
         if len(entries) != _DIGEST_BITS or any(len(h) != _HASH_BYTES for pair in entries for h in pair):
             raise ValueError("public key has a malformed entry table")
         return LamportPublicKey(entries)

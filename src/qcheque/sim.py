@@ -186,18 +186,17 @@ def _basis(states) -> tuple:
     cumulative sampling.  `terms` pairs the index of every nonzero
     amplitude with its conjugate, so projecting onto a state sums only
     those slices of the group tensor and copies nothing else.  The
-    conjugates are Python scalars, which numpy scales by faster than by
-    its own scalars, with the same result.
+    conjugates are 0-d complex arrays: numpy scales by one in about half
+    the time it takes for a Python or numpy scalar, with the same
+    result, since a scalar is converted to that same complex value.
     """
     return tuple(
         (label, np.asarray(state, dtype=complex).reshape(-1),
-         tuple((index, np.conj(amp).item()) for index, amp in np.ndenumerate(state) if amp))
+         tuple((index, np.array(np.conj(amp), dtype=complex)) for index, amp in np.ndenumerate(state) if amp))
         for label, state in states
     )
 
 
-# Real amplitudes, so a Z branch is its slice bit for bit (a complex 1
-# would flip the sign of some zeros).
 _Z_BASIS = _basis([(0, np.array([1.0, 0.0])), (1, np.array([0.0, 1.0]))])
 _X_BASIS = _basis([(HadamardOutcome.PLUS, HADAMARD[0].real), (HadamardOutcome.MINUS, HADAMARD[1].real)])
 _BELL_BASIS = _basis((label, state.real) for label, state in BELL_STATES.items())
@@ -239,23 +238,24 @@ class StateGroup:
         return float(np.linalg.norm(self.amps))
 
 
-def _check_state_vector(vec: np.ndarray, dim: int) -> float:
+def _check_state_vector(vec: np.ndarray, dim: int) -> np.float64:
     """Raise unless `vec` holds `dim` finite amplitudes of unit norm; return the norm.
 
     The norm is `np.linalg.norm`'s own formula for a complex vector, so it
-    is bit-identical.  A NaN or infinite amplitude makes it NaN or inf and
-    fails the one comparison; only then are the amplitudes scanned, to say
-    which check failed.
+    is bit-identical; `math.sqrt` rounds as `np.sqrt` does, on a Python
+    float, which is faster to compare.  A NaN or infinite amplitude makes
+    the norm NaN or inf and fails the one comparison; only then are the
+    amplitudes scanned, to say which check failed.
     """
     if vec.shape != (dim,):
         raise ValueError(f"expected {dim} amplitudes, got {vec.shape}")
     re, im = vec.real, vec.imag
-    norm = np.sqrt(re.dot(re) + im.dot(im))
+    norm = math.sqrt(re.dot(re) + im.dot(im))
     if not abs(norm - 1.0) <= _NORM_TOL:
         if not np.all(np.isfinite(vec.view(np.float64))):
             raise ValueError("amplitudes must be finite")
-        raise ValueError(f"state vector norm {norm!r} is not 1")
-    return norm
+        raise ValueError(f"state vector norm {np.float64(norm)!r} is not 1")
+    return np.float64(norm)
 
 
 def _as_state_vector(amplitudes, dim: int) -> np.ndarray:
@@ -316,8 +316,6 @@ def _blocks(groups: list[StateGroup], pairs, index) -> list[tuple[list[StateGrou
     each block's groups with its pairs.  A block that holds every group is
     `groups` itself, in its order.  A swap test's two norms are products
     over these blocks."""
-    if len(pairs) == 1:
-        return [(groups, pairs)]
     block_of = {g: [g] for g in groups}
     for a, b in pairs:
         block_a, block_b = block_of[index[a]], block_of[index[b]]
@@ -400,20 +398,17 @@ class World:
 
     def allocate_group(self, owners, amplitudes) -> list[QubitHandle]:
         """Add a fresh, possibly entangled group of len(owners) qubits."""
-        owners = list(owners)
-        n = len(owners)
+        # numbered from the next qid; the enum call costs more than the
+        # check that skips it
+        handles = [QubitHandle(qid, owner if type(owner) is Owner else Owner(owner))
+                   for qid, owner in enumerate(owners, self._next_qid)]
+        n = len(handles)
         if n < 1:
             raise ValueError("need at least one owner")
         if n > self.max_group_qubits:
             raise ValueError(f"group of {n} qubits exceeds ceiling {self.max_group_qubits}")
-        vec = _as_state_vector(amplitudes, 2**n)
-        handles = []
-        for owner in owners:
-            # the enum call costs more than the check that skips it
-            owner = owner if type(owner) is Owner else Owner(owner)
-            handles.append(QubitHandle(self._next_qid, owner))
-            self._next_qid += 1
-        group = StateGroup(list(handles), vec)
+        group = StateGroup(list(handles), _as_state_vector(amplitudes, 2**n))
+        self._next_qid += n
         for h in handles:
             self._index[h] = group
         return handles
@@ -557,7 +552,8 @@ class World:
         group.pending.append((q, self.rng.random()))
 
     def measure_swap(self, register_a, register_b) -> bool:
-        """Swap-test measurement of two equal-length registers.
+        """Swap-test measurement of two equal-length registers, each a
+        sequence of handles.
 
         With S the permutation that exchanges register_a with register_b,
         the pass outcome projects onto (I+S)/2 and the fail outcome onto
@@ -567,7 +563,9 @@ class World:
         links two of them, so the verdict is drawn from each block's own
         small product, never from the joint state.  A block of two single
         qubits a and b needs no product: its norm is <a|a><b|b> and its
-        overlap |<a|b>|^2.
+        overlap |<a|b>|^2.  One pair, as in every amount test of a
+        deposit, is one block of its one or two groups, found with two
+        lookups; only several pairs go through the block search.
 
         Both registers stay live, in one group at the place and in the
         qubit order a merge would give it.  That group holds the
@@ -577,21 +575,11 @@ class World:
         ceiling and a zero branch are refused before anything changes.
         Returns True on a pass.
         """
-        register_a = list(register_a)
-        register_b = list(register_b)
         if len(register_a) != len(register_b):
             raise ValueError("registers differ in length")
-        if not register_a:
-            raise ValueError("registers must not be empty")
-        # Pair by pair, so the one group orders the qubits as the Fredkin
-        # cascade this measurement replaces did.
-        pairs = list(zip(register_a, register_b))
-        targets = [q for pair in pairs for q in pair]
-        if len(set(targets)) != len(targets):
-            raise ValueError("registers overlap or repeat a handle")
-        groups = self._groups_for(targets)
+        find = self._pair_block if len(register_a) == 1 else self._swap_blocks
+        groups, pairs, blocks = find(register_a, register_b)
         qubits = self._joined(groups)
-        blocks = _blocks(groups, pairs, self._index)
         norm = overlap = 1.0
         for block, block_pairs in blocks:
             if len(block) == 2 and len(block[0].qubits) == len(block[1].qubits) == 1:
@@ -619,6 +607,32 @@ class World:
         # ancilla; drawing it here keeps fixed-seed reports byte-identical.
         self.rng.random()
         return passed
+
+    def _swap_blocks(self, register_a, register_b) -> tuple[list[StateGroup], list, list]:
+        """The settled groups that two equal-length registers touch, in
+        first-use order, their pairs and their blocks (see `_blocks`).
+        The registers must be non-empty and name no handle twice."""
+        if not register_a:
+            raise ValueError("registers must not be empty")
+        # Pair by pair, so the one group orders the qubits as the Fredkin
+        # cascade this measurement replaces did.
+        pairs = list(zip(register_a, register_b))
+        targets = [q for pair in pairs for q in pair]
+        if len(set(targets)) != len(targets):
+            raise ValueError("registers overlap or repeat a handle")
+        groups = self._groups_for(targets)
+        return groups, pairs, _blocks(groups, pairs, self._index)
+
+    def _pair_block(self, register_a, register_b) -> tuple[list[StateGroup], list, list]:
+        """`_swap_blocks` for registers of one qubit each, with two lookups:
+        the pair's one or two groups are its one block."""
+        pair = a, b = register_a[0], register_b[0]
+        if a == b:
+            raise ValueError("registers overlap or repeat a handle")
+        group_a, group_b = self.group_of(a), self.group_of(b)
+        groups = [group_a] if group_a is group_b else [group_a, group_b]
+        pairs = [pair]
+        return groups, pairs, [(groups, pairs)]
 
     def _build_branch(self, group: StateGroup) -> None:
         """Turn a group's pending swap-test projection into amplitudes.
@@ -671,9 +685,9 @@ class World:
         branch = kept.reshape((2,) * (n - k))
         acc = 0.0
         for label, state, terms in basis:
-            (index, amp), *rest = terms
+            index, amp = terms[0]
             np.multiply(amp, psi[index], out=branch)
-            for index, amp in rest:
+            for index, amp in terms[1:]:
                 branch += amp * psi[index]
             p = float(np.vdot(kept, kept).real)
             acc += p

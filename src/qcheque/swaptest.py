@@ -26,8 +26,8 @@ __all__ = ["swap_test"]
 
 
 def swap_test(world: World, register_a, register_b) -> bool:
-    """Compare two equal-length registers of distinct live qubits; True
-    on a pass, the one bit the test yields.
+    """Compare two equal-length registers, sequences of distinct live
+    qubits; True on a pass, the one bit the test yields.
 
     The inputs are consumed in the sense that they end up entangled with
     each other, in one group whose state is built when one of its qubits

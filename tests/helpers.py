@@ -42,6 +42,21 @@ def collapse_widths(world) -> list:
     return widths
 
 
+def call_counts(world, *names) -> dict:
+    """A dict that counts, by name, the calls the world makes from now on
+    to each of the named methods, including its own calls to them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        method = getattr(world, name)
+
+        def counted(*args, _name=name, _method=method, **kwargs):
+            counts[_name] += 1
+            return _method(*args, **kwargs)
+
+        setattr(world, name, counted)
+    return counts
+
+
 def product_widths(monkeypatch) -> list:
     """A list that grows by the qubit width of every tensor product the
     simulator builds for the rest of the test: merges, swap-test blocks,

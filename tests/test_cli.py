@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from qcheque.adversary import AMOUNT_UNITS
+from qcheque import cli
 from qcheque.cli import main
 from qcheque.protocol import QuantumCheque, encode_amount
 
@@ -199,6 +200,28 @@ def test_selftest_fails_when_a_cheque_does_not_re_save(monkeypatch, capsys):
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert not checks["snapshot-roundtrip"]["passed"]
     assert "does not re-save to the same document" in checks["snapshot-roundtrip"]["detail"]
+
+
+def test_selftest_reports_a_check_that_raises(monkeypatch, capsys):
+    # an exception other than a failed assertion still fails only its own
+    # check: the report is written, the traceback goes to stderr and
+    # selftest exits 1
+    def corrupt(*args):
+        raise RuntimeError("collapsed onto a zero branch; numerical state is corrupt")
+
+    monkeypatch.setattr(cli, "swap_test", corrupt)
+    assert main(["selftest", "--seed", "3"]) == 1
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert "Traceback" in err and "in corrupt" in err
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert doc["status"] == "FAIL"
+    assert checks["teleport-roundtrip"] == {
+        "name": "teleport-roundtrip",
+        "passed": False,
+        "detail": "RuntimeError: collapsed onto a zero branch; numerical state is corrupt",
+    }
+    assert all(c["passed"] for name, c in checks.items() if name != "teleport-roundtrip")
 
 
 def _rng_as_list(doc):

@@ -4,7 +4,7 @@ import json
 from dataclasses import asdict, replace
 
 import pytest
-from helpers import collapse_widths, flip, messages_in_session, product_widths
+from helpers import call_counts, collapse_widths, flip, messages_in_session, product_widths
 
 from qcheque.bits import BitString
 from qcheque.protocol import (
@@ -137,17 +137,24 @@ def test_default_deposit_fits_sixteen_qubit_groups():
     assert bank.verify_cheque(world, cheque).accepted
 
 
-def test_deposit_collapses_only_the_recovery_pairs(monkeypatch):
-    # every register a deposit discards is dropped, not collapsed: the
-    # only collapses are the recovery X measurements, one per 2-qubit
-    # triple remnant.  Each swap test is decided in closed form from
-    # blocks of one cheque and one target qubit, and its 2n-qubit group,
-    # dropped unused, is never built: no tensor product is built at all
+def test_honest_deposit_work_is_pinned(monkeypatch):
+    # the work of an honest l=8, n=8 deposit as exact counts, so a change
+    # in work shows without timing.  Every register a deposit discards is
+    # dropped, not collapsed: the only collapses are the recovery X
+    # measurements, one per 2-qubit triple remnant.  Each swap target is
+    # one fresh qubit (8 amount, 8 authentication), and the deposit places
+    # 17 groups: 8 re-adopted vault qubits and 9 swap-test groups.  Each
+    # swap test is decided in closed form from blocks of one cheque and
+    # one target qubit, and its group, dropped unused, is never built: no
+    # merge, no settle and no tensor product at all
     world, bank, _, _, cheque = issue(seed=22, params=SchemeParams())
     widths = collapse_widths(world)
     products = product_widths(monkeypatch)
+    calls = call_counts(world, "allocate_group", "_place", "measure_swap", "discard", "_merge", "_settle")
     assert bank.verify_cheque(world, cheque).accepted
-    assert widths and max(widths) <= 2
+    assert widths == [2] * 8
+    assert calls == {"allocate_group": 16, "_place": 17, "measure_swap": 9, "discard": 40,
+                     "_merge": 0, "_settle": 0}
     assert products == []
     assert world.qubit_count == 0 and not world._groups
 
@@ -228,6 +235,16 @@ def test_bad_signature_quarantines_the_serial():
     assert retry.reason is RejectReason.DOUBLE_SPEND
     assert world.qubit_count == 0
     world.check_partition()
+
+
+def test_serial_that_is_not_a_bit_string_is_a_bad_signature():
+    # the ledger finds the record by the serial's text, so a serial given
+    # as that text reaches signature verification, which refuses it
+    world, bank, _, record, cheque = issue(seed=23)
+    as_text = replace(cheque, serial=str(cheque.serial))
+    result = bank.verify_cheque(world, as_text)
+    assert result.reason is RejectReason.BAD_SIGNATURE and not result.accepted
+    assert_serial_retired(world, bank, record, cheque, as_text)
 
 
 def assert_serial_retired(world, bank, record, cheque, submitted):

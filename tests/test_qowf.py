@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,28 @@ def test_derive_angles_match_golden_vectors():
         for (gt, gp), (wt, wp) in zip(got, case["angles"]):
             assert gt == pytest.approx(wt, abs=1e-12)
             assert gp == pytest.approx(wp, abs=1e-12)
+
+
+def _chunked_angles(data, count):
+    """`derive_angles` one 16-byte chunk at a time, with `int.from_bytes`
+    on each half."""
+    stream = b"".join(hashlib.sha256(data + c.to_bytes(4, "big")).digest()
+                      for c in range((16 * count + 31) // 32))
+    angles = []
+    for j in range(count):
+        chunk = stream[16 * j : 16 * (j + 1)]
+        u1 = int.from_bytes(chunk[:8], "big") / float(2**64)
+        u2 = int.from_bytes(chunk[8:], "big") / float(2**64)
+        angles.append((math.acos(math.sqrt(u1)), 2.0 * math.pi * u2))
+    return angles
+
+
+def test_derive_angles_match_the_chunked_form_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for _ in range(500):
+        data = rng.bytes(int(rng.integers(0, 100)))
+        count = int(rng.integers(1, 20))
+        assert derive_angles(data, count) == _chunked_angles(data, count)
 
 
 def test_auth_state_matches_golden_vector():

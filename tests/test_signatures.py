@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from helpers import flip
 from reference import loop_verify
 
-from qcheque.bits import BitString
-from qcheque.signatures import LamportSignatureScheme
+from qcheque.bits import BitString, frame_fields
+from qcheque.signatures import LamportSignatureScheme, _message_digest_bits
 
 
 def keypair(seed=0):
@@ -44,9 +46,10 @@ def test_verification_is_total_on_garbage():
     """Malformed input must come back False, never raise."""
     scheme, pair = keypair()
     message = BitString.from_text("x")
-    assert not scheme.verify(pair.public, message, b"")
-    assert not scheme.verify(pair.public, message, b"short")
-    assert not scheme.verify(pair.public, message, b"\x00" * 10_000)
+    signature = scheme.sign(pair.secret, message)
+    for bad in (b"", b"short", b"\x00" * 10_000, signature[:-16], signature + signature[:16],
+                memoryview(signature), signature.decode("latin-1"), list(signature), None):
+        assert not scheme.verify(pair.public, message, bad)
 
 
 def test_secret_key_signs_exactly_once():
@@ -146,11 +149,58 @@ def test_verify_matches_the_per_bit_loop():
 
 
 def test_public_key_json_refuses_entries_that_are_not_digests():
-    # verify compares the selected entries joined end to end, which is the
-    # per-entry comparison only while every entry is one 32-byte digest
+    # every entry is one 32-byte digest; an entry of another length could
+    # never match a revealed preimage's hash
     scheme, pair = keypair()
     doc = scheme.public_key_to_json(pair.public)
     a, b = doc["entries"][0]
     doc["entries"][0], doc["entries"][1][0] = [a[:-2], b], doc["entries"][1][0] + a[-2:]
     with pytest.raises(ValueError, match="malformed entry table"):
         scheme.public_key_from_json(doc)
+
+
+# ----------------------------------------------------------------------
+# the classical step without numpy, against the numpy forms it replaced
+# ----------------------------------------------------------------------
+
+
+def _unpackbits_reference(message):
+    """The digest bits as `np.unpackbits` gives them."""
+    digest = hashlib.sha256(frame_fields(message)).digest()
+    return np.unpackbits(np.frombuffer(digest, dtype=np.uint8)).tolist()
+
+
+@pytest.mark.parametrize("length", [0, 1, 7, 64, 256])
+def test_digest_bits_match_unpackbits(length):
+    rng = np.random.default_rng(length)
+    for _ in range(20):
+        value = int.from_bytes(rng.bytes(32), "big") >> (256 - length) if length else 0
+        message = BitString(length, value)
+        assert list(_message_digest_bits(message)) == _unpackbits_reference(message)
+
+
+def test_sign_matches_the_per_bit_join():
+    for seed in range(8):
+        scheme, pair = keypair(seed=seed)
+        message = BitString.random(np.random.default_rng(seed), 128)
+        expected = b"".join(row[bit] for row, bit in zip(pair.secret.entries, _unpackbits_reference(message)))
+        assert scheme.sign(pair.secret, message) == expected
+
+
+def test_verify_rejects_each_single_flipped_preimage():
+    scheme, pair = keypair(seed=31)
+    message = BitString.from_text("serial-0031")
+    signature = scheme.sign(pair.secret, message)
+    assert scheme.verify(pair.public, message, signature)
+    assert scheme.verify(pair.public, message, bytearray(signature))
+    for i in range(256):
+        corrupt = bytearray(signature)
+        corrupt[16 * i + i % 16] ^= 0x80
+        assert not scheme.verify(pair.public, message, bytes(corrupt)), i
+
+
+@pytest.mark.parametrize("message", ["0" * 64, b"serial", 5, None, (1, 0)])
+def test_verify_is_false_for_a_message_that_is_not_a_bit_string(message):
+    scheme, pair = keypair(seed=33)
+    signature = scheme.sign(pair.secret, BitString.from_text("serial-0033"))
+    assert scheme.verify(pair.public, message, signature) is False

@@ -93,6 +93,24 @@ def test_allocate_group_rejects_wrong_length():
         world.allocate_group([Owner.ALICE, Owner.ALICE], [1, 0, 0])
 
 
+@pytest.mark.parametrize("owners, amps, message", [
+    ([Owner.ALICE, "carol"], [1, 0, 0, 0], "not a valid Owner"),
+    ([Owner.ALICE, "bank"], [1, 0, 0], "expected 4 amplitudes"),
+    ([Owner.ALICE, Owner.BANK], [1, 1, 0, 0], "is not 1"),
+    ([], [1], "at least one owner"),
+    ([Owner.ALICE] * 3, [1] + [0] * 7, "exceeds ceiling 2"),
+])
+def test_refused_allocation_changes_nothing(owners, amps, message):
+    # no qid is spent on a refused group, so the next one numbers on
+    world = World(seed=0, max_group_qubits=2)
+    world.allocate(Owner.BANK)
+    before = world.to_json()
+    with pytest.raises(ValueError, match=message):
+        world.allocate_group(owners, amps)
+    assert world.to_json() == before
+    assert world.allocate(Owner.ALICE).qid == 1
+
+
 def test_partition_invariant_after_mixed_workload():
     world = World(seed=3)
     qs = [world.allocate(Owner.ALICE) for _ in range(4)]
@@ -858,6 +876,26 @@ def _collapse_both(world, reference, qs, expected, kind, positions):
     return rest, residual
 
 
+@pytest.mark.parametrize("basis", [_Z_BASIS, _X_BASIS, _BELL_BASIS], ids=["z", "x", "bell"])
+def test_basis_terms_scale_as_their_scalars_bit_for_bit(basis):
+    # each term holds the conjugate of its state's amplitude as a 0-d
+    # array; numpy scales by it exactly as by the Python scalar, signed
+    # zeros included, on strided views as on whole arrays
+    rng = np.random.default_rng(3)
+    specials = [0.0, -0.0, 1e-310, -2.5, 3.0]
+    x = rng.normal(size=64) + 1j * rng.normal(size=64)
+    x[:25] = [complex(re, im) for re in specials for im in specials]
+    psi = rng.permutation(x).reshape(8, 8).T
+    for _, state, terms in basis:
+        nonzero = [(i, a) for i, a in np.ndenumerate(state.reshape((2,) * len(terms[0][0]))) if a]
+        assert [index for index, _ in terms] == [index for index, _ in nonzero]
+        for (_, amp), (_, want) in zip(terms, nonzero):
+            scalar = float(np.conj(want).real)  # the basis states are real
+            assert amp.shape == () and amp.dtype == complex and amp.item() == scalar
+            for view in (psi, psi[1], psi[:, 2]):
+                assert np.multiply(amp, view).tobytes() == np.multiply(scalar, view).tobytes()
+
+
 def test_collapses_match_fresh_arrays_bit_for_bit():
     # every kind of collapse on groups of 1-12 qubits, then a chain of
     # measurements and narrow swap tests on what is left, so each group
@@ -1209,6 +1247,65 @@ def test_singleton_swap_tests_match_the_product_path(monkeypatch):
             assert world.rng.bit_generator.state == product_path.rng.bit_generator.state
             assert world.to_json() == product_path.to_json()
     assert verdicts == {True, False}
+
+
+def _outcome(world, a, b):
+    """A one-pair swap test's verdict, or its error as (type, message)."""
+    try:
+        return world.measure_swap([a], [b])
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _one_pair_cases(seed, name):
+    """A world in the named layout and the one-pair tests to run on it:
+    every aligned pair, a handle against itself, and a retired handle on
+    either side.  On odd seeds the ceiling is the widest group, so a test
+    that would merge two groups past it is refused."""
+    world = World(seed=seed)
+    a, b = swap_layout(world, np.random.default_rng(seed), name)
+    if seed % 2:
+        world.max_group_qubits = max(SWAP_LAYOUTS[name][0])
+    retired = world.allocate(Owner.BANK)
+    world.discard(retired)
+    return world, [*zip(a, b), (a[0], a[0]), (retired, b[0]), (b[-1], retired)]
+
+
+@pytest.mark.parametrize("name", sorted(SWAP_LAYOUTS))
+def test_one_pair_swap_tests_match_the_block_path(name, monkeypatch):
+    # the same tests through `_swap_blocks`, the general path, on a
+    # snapshot twin: the same verdict or error and PRNG state after every
+    # test, and the same settled snapshot at the end.  Nothing settles in
+    # between, so a later test finds an earlier one's projection pending
+    kinds = set()
+    for seed in range(12):
+        world, cases = _one_pair_cases(seed, name)
+        block_path = World.from_json(world.to_json())
+        for a, b in cases:
+            got = _outcome(world, a, b)
+            with monkeypatch.context() as patched:
+                patched.setattr(World, "_pair_block", World._swap_blocks)
+                assert _outcome(block_path, a, b) == got
+            kinds.add(got if isinstance(got, bool) else got[1].split()[0])
+            assert world.rng.bit_generator.state == block_path.rng.bit_generator.state
+        assert world.to_json() == block_path.to_json()
+    assert {True, False, "unknown", "registers"} <= kinds
+
+
+def test_one_pair_swap_test_over_the_ceiling_matches_the_block_path(monkeypatch):
+    for seed in range(10):
+        world = World(seed=seed, max_group_qubits=3)
+        reg_a, reg_b = swap_layout(world, np.random.default_rng(seed), "spread over groups")
+        block_path = World.from_json(world.to_json())
+        with pytest.raises(ValueError, match="5-qubit group, over the ceiling of 3") as refused:
+            world.measure_swap(reg_a[:1], reg_b[:1])
+        with monkeypatch.context() as patched:
+            patched.setattr(World, "_pair_block", World._swap_blocks)
+            with pytest.raises(ValueError) as general:
+                block_path.measure_swap(reg_a[:1], reg_b[:1])
+        assert str(general.value) == str(refused.value)
+        assert world.rng.bit_generator.state == block_path.rng.bit_generator.state
+        assert world.to_json() == block_path.to_json()
 
 
 def _always_permute(positions, n):
