@@ -11,17 +11,18 @@ serial number.  A cheque book signs exactly once.
 
 Verification is one admission step followed by one exit.  Admission runs
 every classical check before any qubit is touched: record lookup, ledger
-availability, signature, then the cheque's shape (register widths, no
-handle twice, every handle live and none in bank custody).  It either
-refuses the cheque with a reject reason, raises `ValueError` on a
-malformed one, or admits it to the quantum phase: recovery of every
-amount state, swap tests against independently recomputed targets, then
-the policy decision.  Every path, a return or a raise, leaves through
-the same exit: the submitted registers and the bank's own swap-test
-targets are destroyed and, for a known serial, the account's vault is
-discarded and the serial retired, so a submission cannot be probed again
-under the same serial.  The spent ledger only ever moves from unspent to
-spent.
+availability, signature, then the cheque's fields (a `BitString` nonce
+and amount, qubit fields that are tuples or lists of `QubitHandle`) and
+shape (register widths, no handle twice, every handle live and none in
+bank custody).  It either refuses the cheque with a reject reason, raises
+`ValueError` on a malformed one, or admits it to the quantum phase:
+recovery of every amount state, swap tests against independently
+recomputed targets, then the policy decision.  Every path, a return or a
+raise, leaves through the same exit: the submitted registers and the
+bank's own swap-test targets are destroyed and, for a known serial, the
+account's vault is discarded and the serial retired, so a submission
+cannot be probed again under the same serial.  The spent ledger only
+ever moves from unspent to spent.
 
 Every bank interaction is appended to an ordered session transcript;
 one recovery outcome message crosses the bank/branch boundary per triple.
@@ -150,7 +151,6 @@ class ChequeBook:
     account_id: str
     serial: BitString
     shared_key: BitString
-    public_key: object
     secret_key: object
     triples: list[GhzTriple]
     params: SchemeParams
@@ -294,7 +294,6 @@ class Bank:
             account_id=account_id,
             serial=serial,
             shared_key=shared_key,
-            public_key=keypair.public,
             secret_key=keypair.secret,
             triples=triples,
             params=params,
@@ -336,8 +335,13 @@ class Bank:
             record = None
         # bank-side qubits the exit discards: the vault, then swap-test targets
         bank_held = [] if record is None else list(record.bank_qubits)
+        # the submitted handles the exit discards, each of an int and an
+        # `Owner`; `_admit` refuses a cheque whose qubit fields hold more
+        submitted = [q for qubits in (cheque.amount_qubits, cheque.auth_qubits)
+                     if isinstance(qubits, (tuple, list)) for q in qubits
+                     if type(q) is QubitHandle and type(q.qid) is int and type(q.owner) is Owner]
         try:
-            reason = self._admit(world, cheque, record, log)
+            reason = self._admit(world, cheque, record, submitted, log)
             if reason is not None:
                 return VerifyResult(False, reason)
 
@@ -376,7 +380,7 @@ class Bank:
             record.spent = accepted  # admitted, so it was unspent
             return VerifyResult(accepted, reason, tuple(amount_passes), auth_passed)
         finally:
-            for q in [*cheque.amount_qubits, *cheque.auth_qubits]:
+            for q in submitted:
                 if q in world and q.owner is not Owner.BANK:
                     world.discard(q)
             for q in bank_held:
@@ -385,7 +389,8 @@ class Bank:
             if record is not None:
                 record.destroyed = True
 
-    def _admit(self, world: World, cheque: QuantumCheque, record: BankRecord | None, log) -> RejectReason | None:
+    def _admit(self, world: World, cheque: QuantumCheque, record: BankRecord | None,
+               submitted: list[QubitHandle], log) -> RejectReason | None:
         """Every classical check, in order; None admits the cheque to the
         quantum phase.  A malformed cheque raises `ValueError`."""
         if record is None:
@@ -400,6 +405,12 @@ class Bank:
         if not signature_ok:
             return RejectReason.BAD_SIGNATURE
 
+        if not (isinstance(cheque.nonce, BitString) and isinstance(cheque.amount, BitString)):
+            raise ValueError("cheque nonce and amount must be bit strings")
+        fields = (cheque.amount_qubits, cheque.auth_qubits)
+        if not (all(isinstance(qubits, (tuple, list)) for qubits in fields)
+                and sum(map(len, fields)) == len(submitted)):
+            raise ValueError("cheque qubit fields must be tuples or lists of qubit handles")
         params = record.params
         if len(cheque.amount_qubits) != params.ghz_triples:
             raise ValueError(
@@ -411,10 +422,9 @@ class Bank:
                 f"cheque carries {len(cheque.auth_qubits)} auth qubits, "
                 f"scheme expects {params.auth_qubits}"
             )
-        handles = [*cheque.amount_qubits, *cheque.auth_qubits]
-        if len(set(handles)) != len(handles):
+        if len(set(submitted)) != len(submitted):
             raise ValueError("cheque lists a qubit handle twice")
-        for q in handles:
+        for q in submitted:
             world.group_of(q)
             if q.owner is Owner.BANK:
                 raise ValueError(f"cheque lists {q!r}, which is in bank custody")

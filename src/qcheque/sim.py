@@ -310,29 +310,6 @@ def _swap_axes(qubits: list[QubitHandle], pairs) -> list[int]:
     return axes
 
 
-def _blocks(groups: list[StateGroup], pairs, index) -> list[tuple[list[StateGroup], list]]:
-    """Split `groups` into blocks, the components that `pairs` join, where
-    a pair links the groups that `index` maps its two qubits to; return
-    each block's groups with its pairs.  A block that holds every group is
-    `groups` itself, in its order.  A swap test's two norms are products
-    over these blocks."""
-    block_of = {g: [g] for g in groups}
-    for a, b in pairs:
-        block_a, block_b = block_of[index[a]], block_of[index[b]]
-        if block_a is not block_b:
-            block_a += block_b
-            for g in block_b:
-                block_of[g] = block_a
-    blocks: dict[int, tuple[list[StateGroup], list]] = {}
-    for pair in pairs:
-        block = block_of[index[pair[0]]]
-        if id(block) in blocks:
-            blocks[id(block)][1].append(pair)
-        else:
-            blocks[id(block)] = (block, [pair])
-    return list(blocks.values()) if len(blocks) > 1 else [(groups, pairs)]
-
-
 @functools.lru_cache(maxsize=1024)
 def _front(positions: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The axis permutation that moves `positions`, in order, to the front
@@ -561,11 +538,11 @@ class World:
         (<psi|psi> + <psi|S|psi>)/2.  Both terms are products over
         *blocks*, the groups the registers touch joined wherever a pair
         links two of them, so the verdict is drawn from each block's own
-        small product, never from the joint state.  A block of two single
+        small product, never from the joint state.  One walk over the
+        pairs finds the blocks of every test, one pair wide, as in every
+        amount test of a deposit, or several.  A block of two single
         qubits a and b needs no product: its norm is <a|a><b|b> and its
-        overlap |<a|b>|^2.  One pair, as in every amount test of a
-        deposit, is one block of its one or two groups, found with two
-        lookups; only several pairs go through the block search.
+        overlap |<a|b>|^2.
 
         Both registers stay live, in one group at the place and in the
         qubit order a merge would give it.  That group holds the
@@ -577,8 +554,7 @@ class World:
         """
         if len(register_a) != len(register_b):
             raise ValueError("registers differ in length")
-        find = self._pair_block if len(register_a) == 1 else self._swap_blocks
-        groups, pairs, blocks = find(register_a, register_b)
+        groups, pairs, blocks = self._swap_blocks(register_a, register_b)
         qubits = self._joined(groups)
         norm = overlap = 1.0
         for block, block_pairs in blocks:
@@ -610,29 +586,42 @@ class World:
 
     def _swap_blocks(self, register_a, register_b) -> tuple[list[StateGroup], list, list]:
         """The settled groups that two equal-length registers touch, in
-        first-use order, their pairs and their blocks (see `_blocks`).
+        first-use order, their pairs, and their blocks in the order of
+        their first pairs: the components that the pairs join, each as its
+        groups and its pairs.  A block that holds every group is `groups`
+        itself, with every pair.  One walk over the pairs finds all three.
         The registers must be non-empty and name no handle twice."""
         if not register_a:
             raise ValueError("registers must not be empty")
         # Pair by pair, so the one group orders the qubits as the Fredkin
         # cascade this measurement replaces did.
         pairs = list(zip(register_a, register_b))
-        targets = [q for pair in pairs for q in pair]
-        if len(set(targets)) != len(targets):
+        if len({*register_a, *register_b}) != 2 * len(pairs):
             raise ValueError("registers overlap or repeat a handle")
-        groups = self._groups_for(targets)
-        return groups, pairs, _blocks(groups, pairs, self._index)
-
-    def _pair_block(self, register_a, register_b) -> tuple[list[StateGroup], list, list]:
-        """`_swap_blocks` for registers of one qubit each, with two lookups:
-        the pair's one or two groups are its one block."""
-        pair = a, b = register_a[0], register_b[0]
-        if a == b:
-            raise ValueError("registers overlap or repeat a handle")
-        group_a, group_b = self.group_of(a), self.group_of(b)
-        groups = [group_a] if group_a is group_b else [group_a, group_b]
-        pairs = [pair]
-        return groups, pairs, [(groups, pairs)]
+        # Keyed by group in first-use order.  A pair joins the block of its
+        # b group onto the block of its a group; a block keeps its pairs in
+        # pair order.
+        block_of: dict[StateGroup, tuple[list[StateGroup], list]] = {}
+        for pair in pairs:
+            group_a, group_b = self.group_of(pair[0]), self.group_of(pair[1])
+            block = block_of.get(group_a)
+            if block is None:
+                block = block_of[group_a] = ([group_a], [])
+            other = block_of.get(group_b)
+            if other is None:
+                block[0].append(group_b)
+                block_of[group_b] = block
+            elif other is not block:
+                block[0].extend(other[0])
+                block[1][:] = sorted(block[1] + other[1], key=pairs.index)
+                for g in other[0]:
+                    block_of[g] = block
+            block[1].append(pair)
+        groups = list(block_of)
+        if len(block[0]) == len(groups):
+            return groups, pairs, [(groups, pairs)]
+        # a block's first group in first-use order came with its first pair
+        return groups, pairs, list({id(b): b for b in block_of.values()}.values())
 
     def _build_branch(self, group: StateGroup) -> None:
         """Turn a group's pending swap-test projection into amplitudes.

@@ -3,8 +3,9 @@
 A small bank of 2-3 accounts, each with one signed cheque, receives a
 random sequence of submissions: genuine, truncated, aliased, naming vault
 qubits, replayed, under another account's name, mixing registers across
-accounts and naming dead handles.  A model that knows only which handles
-each submission names predicts the verdict class of every deposit and
+accounts, naming dead handles and with one field of the wrong type.  A
+model that knows only which handles each submission names and which
+fields are well formed predicts the verdict class of every deposit and
 which qubits must still be live.  After every step:
 
 - nothing escapes `verify_cheque` except a `ValueError` raised after the
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from helpers import messages_in_session
+from qcheque.bits import BitString
 from qcheque.protocol import Bank, RejectReason, SchemeParams, encode_amount, sign_cheque
 from qcheque.sim import Owner, QubitHandle, World
 
@@ -30,10 +32,18 @@ NAMES = ("alice", "bob", "carol")
 # no world in this test allocates this many qubits
 DEAD = QubitHandle(10**6, Owner.ALICE)
 QUANTUM_VERDICTS = {RejectReason.OK, RejectReason.AUTH_STATE_FAIL, RejectReason.AMOUNT_STATE_FAIL}
+FIELDS = ("account_id", "serial", "nonce", "amount", "signature", "amount_qubits", "auth_qubits")
+
+
+def qubit_fields(cheque):
+    return cheque.amount_qubits, cheque.auth_qubits
 
 
 def registers(cheque):
-    return [*cheque.amount_qubits, *cheque.auth_qubits]
+    """The handles a cheque names: the `QubitHandle` entries of its qubit
+    fields that are tuples or lists."""
+    return [q for field in qubit_fields(cheque) if isinstance(field, (tuple, list))
+            for q in field if isinstance(q, QubitHandle)]
 
 
 class BankMachine(RuleBasedStateMachine):
@@ -59,12 +69,22 @@ class BankMachine(RuleBasedStateMachine):
     def submit(self, submitted, expect_accept=False):
         """Deposit `submitted` and hold the outcome to the model."""
         self.last = submitted
-        record = next((r for r in self.records if r.serial == submitted.serial
-                       and r.account_id == submitted.account_id), None)
+        # the ledger finds a record by the serial's text
+        k = next((k for k, r in enumerate(self.records) if str(r.serial) == str(submitted.serial)
+                  and r.account_id == submitted.account_id), None)
+        record = None if k is None else self.records[k]
         was_retired = record is not None and record.destroyed
+        # a one-time signature verifies only the serial it signed, as signed
+        signed = (k is not None and isinstance(submitted.serial, BitString)
+                  and submitted.signature == self.cheques[k].signature)
         named = registers(submitted)
+        fields = qubit_fields(submitted)
         malformed = (
-            len(submitted.amount_qubits) != PARAMS.ghz_triples
+            not isinstance(submitted.nonce, BitString)
+            or not isinstance(submitted.amount, BitString)
+            or not all(isinstance(field, (tuple, list)) for field in fields)
+            or sum(map(len, fields)) != len(named)
+            or len(submitted.amount_qubits) != PARAMS.ghz_triples
             or len(submitted.auth_qubits) != PARAMS.auth_qubits
             or len(set(named)) != len(named)
             or any(q not in self.world or q.owner is Owner.BANK for q in named)
@@ -72,9 +92,9 @@ class BankMachine(RuleBasedStateMachine):
         try:
             result = self.bank.verify_cheque(self.world, submitted)
         except ValueError:
-            # only a malformed cheque under a live serial raises: after
-            # retirement, and before any amount state was recovered
-            assert record is not None and not was_retired and malformed
+            # only a malformed, signed cheque under a live serial raises:
+            # after retirement, and before any amount state was recovered
+            assert record is not None and not was_retired and signed and malformed
             assert record.destroyed and not record.spent
             assert not messages_in_session(self.bank, self.bank._session_counter, "recovery-outcome")
         else:
@@ -82,6 +102,8 @@ class BankMachine(RuleBasedStateMachine):
                 assert result.reason is RejectReason.UNKNOWN_ID_SERIAL
             elif was_retired:
                 assert result.reason is RejectReason.DOUBLE_SPEND
+            elif not signed:
+                assert result.reason is RejectReason.BAD_SIGNATURE
             else:
                 assert not malformed
                 assert result.reason in QUANTUM_VERDICTS
@@ -132,6 +154,20 @@ class BankMachine(RuleBasedStateMachine):
     def dead_handle(self, i):
         cheque = self.cheques[self.account(i)]
         self.submit(replace(cheque, auth_qubits=(DEAD,) + cheque.auth_qubits[1:]))
+
+    @rule(i=accounts, j=accounts, field=st.sampled_from(FIELDS), data=st.data())
+    def wrong_type(self, i, j, field, data):
+        cheque = self.cheques[self.account(i)]
+        value = getattr(cheque, field)
+        handles = value if field.endswith("_qubits") else cheque.auth_qubits
+        replacement = data.draw(st.one_of(
+            st.none(), st.integers(), st.just(str(value)), st.binary(max_size=8),
+            st.just(tuple((q.qid, q.owner) for q in handles)),
+            st.just([[q.qid, q.owner] for q in handles]),
+            # the right type, from another account
+            st.just(getattr(self.cheques[self.account(j)], field)),
+        ))
+        self.submit(replace(cheque, **{field: replacement}))
 
     @invariant()
     def ledger_moves_forward(self):

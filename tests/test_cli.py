@@ -32,6 +32,16 @@ PINNED_OUTPUT_DIGESTS = {
     "forge-key-guess": "4d3b14e0933ade932abf28a79e592d8a32bf6ebcc293ce2daeb7eb2091878f70",
     "local-tamper": "b3df6e0a1a232a2cc41934964e857ea0b683984595d66ef7c597effa3ae14474",
     "snapshot": "7c549f43cfec61e16cee7e0356f1e10bca7c5fa0dc53db32a12b879fbbd92b62",
+    "run-honest l=8 n=8": "7be98e69ecc84b27bcd230b3d8f52e396287c6e481e2c745dd4b62ab1f504370",
+    "clone-double-spend l=8 n=3": "1952152a125255533167d331f8a635166d130be8839542534d8989a098b0995d",
+}
+# The pins at the benchmark's widths, each as its command and sizes: an
+# honest deposit's 8-pair authentication test, and the entangled blocks of
+# a cloned cheque's tests.
+WIDE_PINS = {
+    "run-honest l=8 n=8": ("run-honest", ["--l", "8", "--n", "8"]),
+    "clone-double-spend l=8 n=3": (
+        "clone-double-spend", ["--l", "8", "--n", "3", "--key-bits", "64", "--serial-bits", "64"]),
 }
 
 
@@ -43,16 +53,17 @@ def run_cli(*args, cwd=None):
 
 @pytest.mark.parametrize("command", sorted(PINNED_OUTPUT_DIGESTS))
 def test_fixed_seed_output_bytes_are_pinned(command, tmp_path):
+    name, sizes = WIDE_PINS.get(command, (command, FAST))
     if command == "snapshot":
         scenario = tmp_path / "scenario.json"
         proc = run_cli("snapshot", *FAST, "--seed", "9", "--snapshot", str(scenario))
         output = scenario.read_bytes()  # the summary echoes the path; hash the file
-    elif command == "run-honest":
-        proc = run_cli("run-honest", *FAST, "--trials", "10", "--seed", "11")
+    elif name == "run-honest":
+        proc = run_cli("run-honest", *sizes, "--trials", "10", "--seed", "11")
         output = proc.stdout.encode()
     else:
         key_bits = ["--key-bits", "8"] if command == "forge-key-guess" else []
-        proc = run_cli("attack", "--strategy", command, *FAST, *key_bits,
+        proc = run_cli("attack", "--strategy", name, *sizes, *key_bits,
                        "--trials", "10", "--seed", "11")
         output = proc.stdout.encode()
     assert proc.returncode == 0, proc.stderr

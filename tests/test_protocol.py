@@ -17,7 +17,7 @@ from qcheque.protocol import (
     sign_cheque,
 )
 from qcheque.qowf import prepare_auth_state
-from qcheque.sim import Owner, World
+from qcheque.sim import Owner, QubitHandle, World
 
 SMALL = SchemeParams(ghz_triples=2, auth_qubits=2, key_bits=64, serial_bits=64)
 
@@ -247,11 +247,14 @@ def test_serial_that_is_not_a_bit_string_is_a_bad_signature():
     assert_serial_retired(world, bank, record, cheque, as_text)
 
 
-def assert_serial_retired(world, bank, record, cheque, submitted):
-    # a malformed submission is destroyed and still burns the serial and
-    # the account's vault, so the genuine cheque cannot be deposited after
-    # it and no qubit outlives the two sessions
-    assert not any(q in world for q in submitted.amount_qubits + submitted.auth_qubits)
+def assert_serial_retired(world, bank, record, cheque, submitted, named=None):
+    # a malformed submission is destroyed, `named` its handles when not
+    # both registers, and still burns the serial and the account's vault,
+    # so the genuine cheque cannot be deposited after it and no qubit
+    # outlives the two sessions
+    if named is None:
+        named = submitted.amount_qubits + submitted.auth_qubits
+    assert not any(q in world for q in named)
     assert not any(q in world for q in record.bank_qubits)
     assert record.destroyed and not record.spent
     assert bank.verify_cheque(world, cheque).reason is RejectReason.DOUBLE_SPEND
@@ -301,6 +304,54 @@ def test_vault_handles_as_amount_registers_raise_after_retirement():
     with pytest.raises(ValueError, match="custody"):
         bank.verify_cheque(world, aliased)
     assert_serial_retired(world, bank, record, cheque, aliased)
+
+
+# Qubit fields that are not tuples or lists of handles, each with the
+# handles of the cheque that it still names.
+MALFORMED_QUBIT_FIELDS = {
+    "amount None": lambda c: ({"amount_qubits": None}, c.auth_qubits),
+    "auth None": lambda c: ({"auth_qubits": None}, c.amount_qubits),
+    "amount as tuples": lambda c: (
+        {"amount_qubits": tuple((q.qid, q.owner) for q in c.amount_qubits)}, c.auth_qubits),
+    "amount as lists": lambda c: (
+        {"amount_qubits": [[q.qid, q.owner] for q in c.amount_qubits]}, c.auth_qubits),
+}
+
+
+@pytest.mark.parametrize("malform", MALFORMED_QUBIT_FIELDS.values(), ids=MALFORMED_QUBIT_FIELDS)
+def test_malformed_qubit_fields_raise_after_retirement(malform):
+    world, bank, _, record, cheque = issue(seed=100)
+    fields, named = malform(cheque)
+    malformed = replace(cheque, **fields)
+    with pytest.raises(ValueError, match="qubit fields"):
+        bank.verify_cheque(world, malformed)
+    assert_serial_retired(world, bank, record, cheque, malformed, named)
+
+
+@pytest.mark.parametrize("field", ["nonce", "amount"])
+@pytest.mark.parametrize("malform", [lambda bits: None, str, lambda bits: 7], ids=["None", "str", "int"])
+def test_classical_fields_that_are_not_bit_strings_raise_after_retirement(field, malform):
+    world, bank, _, record, cheque = issue(seed=100)
+    malformed = replace(cheque, **{field: malform(getattr(cheque, field))})
+    with pytest.raises(ValueError, match="bit strings"):
+        bank.verify_cheque(world, malformed)
+    assert not messages_in_session(bank, bank._session_counter, "recovery-outcome")
+    assert_serial_retired(world, bank, record, cheque, malformed)
+
+
+def test_handle_with_a_plain_text_owner_cannot_destroy_another_vault():
+    # equal to the vault handle it copies, so it finds bob's vault qubit,
+    # but its owner is not `Owner.BANK`: the bank refuses it and leaves
+    # bob's vault to him
+    world, bank, _, record, cheque = issue(seed=3)
+    book, bob = bank.gen_account(world, "bob", SMALL)
+    bobs_cheque = sign_cheque(world, book, encode_amount(42))
+    posing = replace(cheque, amount_qubits=tuple(QubitHandle(q.qid, "bank") for q in bob.bank_qubits))
+    with pytest.raises(ValueError, match="qubit fields"):
+        bank.verify_cheque(world, posing)
+    assert all(q in world for q in bob.bank_qubits)
+    assert bank.verify_cheque(world, bobs_cheque).reason is RejectReason.OK
+    assert_serial_retired(world, bank, record, cheque, posing, cheque.auth_qubits)
 
 
 def test_raise_in_the_quantum_phase_still_retires_the_serial():

@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import json
@@ -1249,10 +1250,10 @@ def test_singleton_swap_tests_match_the_product_path(monkeypatch):
     assert verdicts == {True, False}
 
 
-def _outcome(world, a, b):
+def _outcome(world, a, b, measure):
     """A one-pair swap test's verdict, or its error as (type, message)."""
     try:
-        return world.measure_swap([a], [b])
+        return measure(world, [a], [b])
     except (ValueError, RuntimeError) as exc:
         return type(exc), str(exc)
 
@@ -1272,40 +1273,35 @@ def _one_pair_cases(seed, name):
 
 
 @pytest.mark.parametrize("name", sorted(SWAP_LAYOUTS))
-def test_one_pair_swap_tests_match_the_block_path(name, monkeypatch):
-    # the same tests through `_swap_blocks`, the general path, on a
-    # snapshot twin: the same verdict or error and PRNG state after every
-    # test, and the same settled snapshot at the end.  Nothing settles in
-    # between, so a later test finds an earlier one's projection pending
+def test_one_pair_swap_tests_match_the_eager_projection(name):
+    # the same tests built at once on a snapshot twin: the same verdict or
+    # error and PRNG state after every test, and the same settled snapshot
+    # at the end.  Nothing settles in between, so a later test finds an
+    # earlier one's projection pending; a refused test changes nothing,
+    # which a deep copy shows without settling the world
     kinds = set()
     for seed in range(12):
         world, cases = _one_pair_cases(seed, name)
-        block_path = World.from_json(world.to_json())
+        eager = World.from_json(world.to_json())
         for a, b in cases:
-            got = _outcome(world, a, b)
-            with monkeypatch.context() as patched:
-                patched.setattr(World, "_pair_block", World._swap_blocks)
-                assert _outcome(block_path, a, b) == got
-            kinds.add(got if isinstance(got, bool) else got[1].split()[0])
-            assert world.rng.bit_generator.state == block_path.rng.bit_generator.state
-        assert world.to_json() == block_path.to_json()
-    assert {True, False, "unknown", "registers"} <= kinds
-
-
-def test_one_pair_swap_test_over_the_ceiling_matches_the_block_path(monkeypatch):
-    for seed in range(10):
-        world = World(seed=seed, max_group_qubits=3)
-        reg_a, reg_b = swap_layout(world, np.random.default_rng(seed), "spread over groups")
-        block_path = World.from_json(world.to_json())
-        with pytest.raises(ValueError, match="5-qubit group, over the ceiling of 3") as refused:
-            world.measure_swap(reg_a[:1], reg_b[:1])
-        with monkeypatch.context() as patched:
-            patched.setattr(World, "_pair_block", World._swap_blocks)
-            with pytest.raises(ValueError) as general:
-                block_path.measure_swap(reg_a[:1], reg_b[:1])
-        assert str(general.value) == str(refused.value)
-        assert world.rng.bit_generator.state == block_path.rng.bit_generator.state
-        assert world.to_json() == block_path.to_json()
+            before = copy.deepcopy(world)
+            got = _outcome(world, a, b, World.measure_swap)
+            want = _outcome(eager, a, b, _eager_swap)
+            if isinstance(got, bool):
+                assert got == want
+                kinds.add(got)
+            else:
+                # the eager merge words a repeated handle its own way
+                assert got[0] is want[0] is ValueError
+                assert copy.deepcopy(world).to_json() == before.to_json()
+                kinds.add(next(w for w in ("repeat", "unknown", "ceiling") if w in got[1]))
+            assert world.rng.bit_generator.state == eager.rng.bit_generator.state
+        assert world.to_json() == eager.to_json()
+    assert {True, False, "repeat", "unknown"} <= kinds
+    # where each pair lies in one group, or joins two that fit under the
+    # widest, no test merges past the ceiling
+    if name not in ("one group, several pairs", "registers share a group"):
+        assert "ceiling" in kinds
 
 
 def _always_permute(positions, n):
