@@ -34,8 +34,8 @@ local-tamper
 
 A note on the cloner: both output qubits of `clone_qubit` reduce to
 (2/3) rho + (1/6) I for input rho, the optimal input-independent copy.
-It is realised as a three-rotation, six-CNOT circuit on the input plus
-two work qubits, so it runs through the ordinary two-qubit gate API.
+It is one fixed state of two work qubits and one permutation of the
+basis of the input and those two qubits: one allocation and one gate.
 """
 
 from __future__ import annotations
@@ -90,19 +90,11 @@ STRATEGIES = (
     "local-tamper",
 )
 
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-
-
-def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-_PREP_FIRST = _ry(math.acos(1.0 / math.sqrt(5.0)))
-_PREP_MACHINE = _ry(math.acos(math.sqrt(5.0) / 3.0))
-_PREP_SECOND = _ry(math.acos(2.0 / math.sqrt(5.0)))
+# The cloner's blank state (2|00> + |01> + |11>) / sqrt(6) of the work
+# pair (copy, machine), and the permutation of the basis of (q, copy,
+# machine) that sends |abc> to |a^b^c, a^b, a^c>.
+_BLANK = np.array([2.0, 1.0, 0.0, 1.0], dtype=complex) / math.sqrt(6.0)
+_COPY = np.eye(8, dtype=complex)[:, [0, 5, 6, 3, 7, 2, 1, 4]]
 
 
 @dataclass(frozen=True)
@@ -119,20 +111,19 @@ class CloneResult:
 
 
 def clone_qubit(world: World, q: QubitHandle) -> CloneResult:
-    """Run the optimal universal cloner on a qubit the adversary holds."""
+    """Run the optimal universal cloner on a qubit the adversary holds.
+
+    The copy and the machine qubit are allocated together in `_BLANK`,
+    then `_COPY` acts on (q, copy, machine).  `_BLANK` is what the
+    preparation stage of the Buzek-Braunstein-Hillery-Bruss network
+    (PRA 56, 3446 (1997)), three y rotations and two CNOTs, makes from
+    |00>; `_COPY` is its copying stage, CNOT(q, copy), CNOT(q, machine),
+    CNOT(copy, q) and CNOT(machine, q), as one 8x8 permutation.
+    """
     if q.owner is Owner.BANK:
         raise ValueError("vault qubits are in bank custody, not the adversary's")
-    copy = world.allocate(Owner.ADVERSARY)
-    machine = world.allocate(Owner.ADVERSARY)
-    world.apply_gate(_PREP_FIRST, [copy])
-    world.apply_gate(_CNOT, [copy, machine])
-    world.apply_gate(_PREP_MACHINE, [machine])
-    world.apply_gate(_CNOT, [machine, copy])
-    world.apply_gate(_PREP_SECOND, [copy])
-    world.apply_gate(_CNOT, [q, copy])
-    world.apply_gate(_CNOT, [q, machine])
-    world.apply_gate(_CNOT, [copy, q])
-    world.apply_gate(_CNOT, [machine, q])
+    copy, machine = world.allocate_group([Owner.ADVERSARY, Owner.ADVERSARY], _BLANK)
+    world.apply_gate(_COPY, [q, copy, machine])
     return CloneResult(copy=copy, machine=machine)
 
 

@@ -329,7 +329,7 @@ class Bank:
         """
         log = self._session()
         log("branch", "main", "verify-request",
-            {"account_id": cheque.account_id, "serial": str(cheque.serial)})
+            {"account_id": str(cheque.account_id), "serial": str(cheque.serial)})
         record = self._records.get(str(cheque.serial))
         if record is not None and record.account_id != cheque.account_id:
             record = None

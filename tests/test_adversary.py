@@ -8,15 +8,19 @@ full trial counts.
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
-from helpers import state_of
+from helpers import call_counts, product_widths, state_of
 
 from qcheque.adversary import (
+    _BLANK,
+    _COPY,
     ACCOUNT_ID,
     AMOUNT_UNITS,
     STRATEGIES,
+    CloneResult,
     _acceptance_probability,
     _clone_pass_probabilities,
     clone_qubit,
@@ -84,6 +88,111 @@ def test_clone_refuses_vault_qubits():
     q = world.allocate(Owner.BANK)
     with pytest.raises(ValueError):
         clone_qubit(world, q)
+
+
+_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+
+def _ry(theta):
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+# The cloner as its gate network (Buzek, Braunstein, Hillery and Bruss,
+# PRA 56, 3446 (1997)): five gates prepare two fresh work qubits, then
+# four CNOTs copy the input onto them.
+
+
+def network_preparation(world):
+    copy = world.allocate(Owner.ADVERSARY)
+    machine = world.allocate(Owner.ADVERSARY)
+    world.apply_gate(_ry(math.acos(1.0 / math.sqrt(5.0))), [copy])
+    world.apply_gate(_CNOT, [copy, machine])
+    world.apply_gate(_ry(math.acos(math.sqrt(5.0) / 3.0)), [machine])
+    world.apply_gate(_CNOT, [machine, copy])
+    world.apply_gate(_ry(math.acos(2.0 / math.sqrt(5.0))), [copy])
+    return copy, machine
+
+
+def network_clone(world, q):
+    copy, machine = network_preparation(world)
+    world.apply_gate(_CNOT, [q, copy])
+    world.apply_gate(_CNOT, [q, machine])
+    world.apply_gate(_CNOT, [copy, q])
+    world.apply_gate(_CNOT, [machine, q])
+    return CloneResult(copy=copy, machine=machine)
+
+
+def test_blank_state_is_the_network_preparation():
+    world = World(seed=0)
+    copy, machine = network_preparation(world)
+    group = world.group_of(copy)
+    assert group.qubits == [copy, machine]
+    assert np.max(np.abs(group.amps - _BLANK)) < 1e-15
+
+
+def test_copy_permutation_is_the_four_cnots():
+    # each CNOT as an 8x8 matrix on (q, copy, machine), first qubit most significant
+    def cnot(control, target):
+        out = np.zeros((8, 8), dtype=complex)
+        for i in range(8):
+            j = i ^ (1 << (2 - target)) if i >> (2 - control) & 1 else i
+            out[j, i] = 1
+        return out
+
+    network = cnot(2, 0) @ cnot(1, 0) @ cnot(0, 2) @ cnot(0, 1)
+    assert np.array_equal(_COPY, network)
+
+
+def _random_state(rng, n):
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return amps / np.linalg.norm(amps)
+
+
+# Where the cloned qubit sits: the owners of its group, and its position
+CLONE_LAYOUTS = {
+    "alone": ([Owner.ADVERSARY], 0),
+    "with a vault partner": ([Owner.ADVERSARY, Owner.BANK], 0),
+    "middle of three": ([Owner.ALICE, Owner.ADVERSARY, Owner.ALICE], 1),
+}
+
+
+@pytest.mark.parametrize("layout", CLONE_LAYOUTS)
+def test_clone_matches_the_gate_network(layout):
+    owners, position = CLONE_LAYOUTS[layout]
+    rng = np.random.default_rng(41)
+    worlds = World(seed=9), World(seed=9)
+    for _ in range(20):
+        amps = _random_state(rng, len(owners))
+        results = []
+        for world, clone in zip(worlds, (clone_qubit, network_clone)):
+            bystander = world.allocate(Owner.ALICE)
+            group = world.allocate_group(owners, amps)
+            results.append(clone(world, group[position]))
+            world.discard(bystander)
+        assert results[0] == results[1]
+        fast, slow = ([(g.qubits, g.amps) for g in w._groups] for w in worlds)
+        assert [qubits for qubits, _ in fast] == [qubits for qubits, _ in slow]
+        for (_, a), (_, b) in zip(fast, slow):
+            assert np.max(np.abs(a - b)) < 1e-15
+        assert worlds[0].rng.bit_generator.state == worlds[1].rng.bit_generator.state
+
+
+def test_clone_work_is_pinned(monkeypatch):
+    # a cheque's amount qubit shares a 2-qubit group with its vault
+    # partner; cloning it allocates the work pair as one group and merges
+    # the two groups in its one gate: one 4-qubit product of 2-qubit leaves
+    world = World(seed=3)
+    book, record = Bank().gen_account(world, ACCOUNT_ID, SMALL)
+    cheque = sign_cheque(world, book, encode_amount(AMOUNT_UNITS))
+    q, vault = cheque.amount_qubits[0], record.bank_qubits[0]
+    assert world.group_of(q).qubits == [q, vault]
+    products = product_widths(monkeypatch)
+    calls = call_counts(world, "allocate_group", "apply_gate", "_merge")
+    result = clone_qubit(world, q)
+    assert calls == {"allocate_group": 1, "apply_gate": 1, "_merge": 1}
+    assert products == [2, 2, 4]
+    assert world.group_of(q).qubits == [q, vault, result.copy, result.machine]
 
 
 # ---------------------------------------------------------------- tamper op

@@ -13,9 +13,11 @@ which qubits must still be live.  After every step:
 - the ledger only moves forward;
 - `check_partition()` holds;
 - no retired account holds a live vault qubit;
-- `world.qubit_count` equals the registers still held.
+- `world.qubit_count` equals the registers still held;
+- the bank saves as JSON, and loading that text saves the same text.
 """
 
+import json
 from dataclasses import replace
 
 from hypothesis import HealthCheck, settings
@@ -190,6 +192,11 @@ class BankMachine(RuleBasedStateMachine):
                 vault.update(record.bank_qubits)
         assert all(q in self.world for q in self.held)
         assert self.world.qubit_count == len(self.held) + len(vault)
+
+    @invariant()
+    def bank_saves_and_reloads(self):
+        text = json.dumps(self.bank.to_json(), allow_nan=False)
+        assert json.dumps(Bank.from_json(json.loads(text)).to_json(), allow_nan=False) == text
 
 
 BankMachine.TestCase.settings = settings(

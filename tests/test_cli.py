@@ -34,14 +34,18 @@ PINNED_OUTPUT_DIGESTS = {
     "snapshot": "7c549f43cfec61e16cee7e0356f1e10bca7c5fa0dc53db32a12b879fbbd92b62",
     "run-honest l=8 n=8": "7be98e69ecc84b27bcd230b3d8f52e396287c6e481e2c745dd4b62ab1f504370",
     "clone-double-spend l=8 n=3": "1952152a125255533167d331f8a635166d130be8839542534d8989a098b0995d",
+    "clone-double-spend l=2 n=6": "b7ad5d90d1df1264f3257849cb03d7f2ba4110faafb8b901035d038e773d9213",
 }
 # The pins at the benchmark's widths, each as its command and sizes: an
-# honest deposit's 8-pair authentication test, and the entangled blocks of
-# a cloned cheque's tests.
+# honest deposit's 8-pair authentication test, the entangled blocks of a
+# cloned cheque's tests, and a cloned authentication test whose group
+# would hold 4 * 6 = 24 qubits, the ceiling.
 WIDE_PINS = {
     "run-honest l=8 n=8": ("run-honest", ["--l", "8", "--n", "8"]),
     "clone-double-spend l=8 n=3": (
         "clone-double-spend", ["--l", "8", "--n", "3", "--key-bits", "64", "--serial-bits", "64"]),
+    "clone-double-spend l=2 n=6": (
+        "clone-double-spend", ["--l", "2", "--n", "6", "--key-bits", "64", "--serial-bits", "64"]),
 }
 
 

@@ -222,6 +222,17 @@ def test_wrong_account_id_rejected():
     assert result.reason is RejectReason.UNKNOWN_ID_SERIAL
 
 
+@pytest.mark.parametrize("account_id", [b"alice", {"alice"}, 7, None], ids=repr)
+def test_any_account_id_leaves_the_bank_saveable(account_id):
+    # the request is logged before any check, so an id that JSON cannot
+    # hold must be logged as its text
+    world, bank, _, _, cheque = issue(seed=3)
+    result = bank.verify_cheque(world, replace(cheque, account_id=account_id))
+    assert result.reason is RejectReason.UNKNOWN_ID_SERIAL
+    text = json.dumps(bank.to_json(), allow_nan=False)
+    assert json.dumps(Bank.from_json(json.loads(text)).to_json(), allow_nan=False) == text
+
+
 def test_bad_signature_quarantines_the_serial():
     world, bank, _, record, cheque = issue(seed=17)
     forged = replace(cheque, signature=bytes(len(cheque.signature)))
