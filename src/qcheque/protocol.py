@@ -38,7 +38,7 @@ from typing import NamedTuple
 from .bits import BitString
 from .qowf import prepare_amount_state, prepare_auth_state
 from .signatures import PREIMAGE_BITS, LamportSignatureScheme
-from .sim import Owner, QubitHandle, World, _document, _field, _handle
+from .sim import Owner, QubitHandle, World, _document, _field, _handle, _handle_pair
 from .swaptest import swap_test
 from .teleport import GhzTriple, encode_qubit, prepare_ghz, recover_qubit
 
@@ -200,8 +200,8 @@ class QuantumCheque:
             "nonce": str(self.nonce),
             "amount": str(self.amount),
             "signature": self.signature.hex(),
-            "amount_qubits": [[q.qid, q.owner.value] for q in self.amount_qubits],
-            "auth_qubits": [[q.qid, q.owner.value] for q in self.auth_qubits],
+            "amount_qubits": list(map(_handle_pair, self.amount_qubits)),
+            "auth_qubits": list(map(_handle_pair, self.auth_qubits)),
         }
 
     @classmethod
@@ -425,7 +425,8 @@ class Bank:
         if len(set(submitted)) != len(submitted):
             raise ValueError("cheque lists a qubit handle twice")
         for q in submitted:
-            world.group_of(q)
+            if q not in world:
+                raise ValueError(f"unknown or retired qubit handle {q!r}")
             if q.owner is Owner.BANK:
                 raise ValueError(f"cheque lists {q!r}, which is in bank custody")
         return None
@@ -443,7 +444,7 @@ class Bank:
                     "serial": str(record.serial),
                     "shared_key": str(record.shared_key),
                     "public_key": self.scheme.public_key_to_json(record.public_key),
-                    "bank_qubits": [[q.qid, q.owner.value] for q in record.bank_qubits],
+                    "bank_qubits": list(map(_handle_pair, record.bank_qubits)),
                     "params": record.params.to_json(),
                     "spent": record.spent,
                     "destroyed": record.destroyed,

@@ -95,7 +95,7 @@ __all__ = [
 SNAPSHOT_FORMAT = "qcheque-world"
 SNAPSHOT_VERSION = 1
 
-# The default ceiling on the qubits one group may hold.
+# The ceiling on the qubits one group may hold.
 MAX_GROUP_QUBITS = 24
 
 _SQRT2 = np.sqrt(2.0)
@@ -155,6 +155,11 @@ def _handle(pair) -> QubitHandle:
     """A snapshot's ``[qid, owner]`` pair as a handle."""
     qid, owner = pair
     return QubitHandle(_field({"qid": qid}, "qid", int), Owner(owner))
+
+
+def _handle_pair(q: QubitHandle) -> list:
+    """A handle as a snapshot's ``[qid, owner]`` pair; `_handle` reads it."""
+    return [q.qid, q.owner.value]
 
 
 class BellOutcome(Enum):
@@ -336,23 +341,14 @@ def _pair_terms(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 
 
 class World:
-    """A collection of qubits partitioned into independent state groups.
+    """A collection of qubits partitioned into independent state groups,
+    none of more than ``MAX_GROUP_QUBITS`` qubits: an operation that would
+    build a wider group raises instead of thrashing memory.  `seed` seeds
+    the world's PRNG; runs with equal seeds and equal operation sequences
+    produce identical outcomes."""
 
-    Parameters
-    ----------
-    seed:
-        Seed for the world's PRNG.  Runs with equal seeds and equal
-        operation sequences produce identical outcomes.
-    max_group_qubits:
-        Hard ceiling on the size any single group may reach through
-        merging.  Exceeding it raises instead of thrashing memory.
-    """
-
-    def __init__(self, seed=None, max_group_qubits: int = MAX_GROUP_QUBITS):
-        if max_group_qubits < 1:
-            raise ValueError("max_group_qubits must be positive")
+    def __init__(self, seed=None):
         self.rng = np.random.default_rng(seed)
-        self.max_group_qubits = max_group_qubits
         self._index: dict[QubitHandle, StateGroup] = {}
         self._next_qid = 0
 
@@ -382,8 +378,8 @@ class World:
         n = len(handles)
         if n < 1:
             raise ValueError("need at least one owner")
-        if n > self.max_group_qubits:
-            raise ValueError(f"group of {n} qubits exceeds ceiling {self.max_group_qubits}")
+        if n > MAX_GROUP_QUBITS:
+            raise ValueError(f"group of {n} qubits exceeds ceiling {MAX_GROUP_QUBITS}")
         group = StateGroup(list(handles), _as_state_vector(amplitudes, 2**n))
         self._next_qid += n
         for h in handles:
@@ -438,7 +434,7 @@ class World:
         2**k square, its first index bit the first target.
 
         Targets in different groups cause a merge first; the merged group
-        must stay under the world's size ceiling.
+        may hold at most ``MAX_GROUP_QUBITS`` qubits.
         """
         targets = list(targets)
         gate = _check_unitary(gate)
@@ -473,11 +469,9 @@ class World:
         """The qubits of `groups` in order, refused over the ceiling; every
         operation that joins groups, merge or introspection, checks here."""
         qubits = [q for g in groups for q in g.qubits]
-        if len(qubits) > self.max_group_qubits:
-            raise ValueError(
-                f"the operation needs a {len(qubits)}-qubit group, "
-                f"over the ceiling of {self.max_group_qubits}"
-            )
+        if len(qubits) > MAX_GROUP_QUBITS:
+            raise ValueError(f"the operation needs a {len(qubits)}-qubit group, "
+                             f"over the ceiling of {MAX_GROUP_QUBITS}")
         return qubits
 
     def _apply_unitary(self, group: StateGroup, gate: np.ndarray, positions: tuple[int, ...]) -> None:
@@ -704,16 +698,12 @@ class World:
             raise ValueError("subset must not be empty")
         groups = self._groups_for(subset)
         joined = self._joined(groups)
-        m = len(joined)
-        keep = [joined.index(q) for q in subset]
-        traced = [i for i in range(m) if i not in keep]
-        psi_t = _product([g.amps for g in groups]).reshape((2,) * m)
-        rho = np.tensordot(psi_t, psi_t.conj(), axes=(traced, traced))
-        kept_order = [q for q in joined if q in subset]
-        perm = [kept_order.index(q) for q in subset]
-        k = len(subset)
-        rho = rho.transpose(perm + [k + p for p in perm])
-        return rho.reshape(2**k, 2**k)
+        psi = _product([g.amps for g in groups])
+        front = _front(tuple(map(joined.index, subset)), len(joined))
+        if front is not None:
+            psi = psi.reshape((2,) * len(joined)).transpose(front[0])
+        rows = psi.reshape(2 ** len(subset), -1)
+        return np.dot(rows, rows.conj().T)  # matmul rounds some shapes differently
 
     def _groups_for(self, handles) -> list[StateGroup]:
         """The settled groups of `handles`, each once, in first-use order;
@@ -730,9 +720,9 @@ class World:
         raises on violation."""
         seen: set[QubitHandle] = set()
         for g in self._settle_all():
-            if not 1 <= g.n_qubits <= self.max_group_qubits:
+            if not 1 <= g.n_qubits <= MAX_GROUP_QUBITS:
                 raise AssertionError(f"group of {g.n_qubits} qubits is outside "
-                                     f"[1, max_group_qubits={self.max_group_qubits}]")
+                                     f"[1, max_group_qubits={MAX_GROUP_QUBITS}]")
             if len(g.amps) != 2**g.n_qubits:
                 raise AssertionError("group amplitude length mismatch")
             if abs(g.norm() - 1.0) > 1e-6:
@@ -762,14 +752,14 @@ class World:
         for g in self._settle_all():
             groups.append(
                 {
-                    "qubits": [[q.qid, q.owner.value] for q in g.qubits],
+                    "qubits": list(map(_handle_pair, g.qubits)),
                     "amplitudes": [[float(a.real), float(a.imag)] for a in g.amps],
                 }
             )
         return {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
-            "max_group_qubits": self.max_group_qubits,
+            "max_group_qubits": MAX_GROUP_QUBITS,
             "next_qid": self._next_qid,
             "rng": self.rng.bit_generator.state,
             "groups": groups,
@@ -779,9 +769,10 @@ class World:
     def from_json(cls, doc: dict) -> "World":
         """Rebuild a world from `to_json` output.
 
-        Every group must hold one to ``max_group_qubits`` qubits and
-        finite amplitudes of unit norm, and every qubit id must be unique
-        and below ``next_qid``.  Amplitudes are loaded as stored, not
+        The snapshot's ``max_group_qubits`` must equal ``MAX_GROUP_QUBITS``.
+        Every group must hold one to that many qubits and finite
+        amplitudes of unit norm, and every qubit id must be unique and
+        below ``next_qid``.  Amplitudes are loaded as stored, not
         renormalised, so saving a world's own `to_json` output back gives
         the same document.  A document that only means the same is not
         refused here: numpy coerces the PRNG words, a zero amplitude
@@ -789,7 +780,9 @@ class World:
         ``qcheque restore`` refuses those by re-saving what it loaded.
         """
         _document(doc, SNAPSHOT_FORMAT, SNAPSHOT_VERSION)
-        world = cls(seed=0, max_group_qubits=_field(doc, "max_group_qubits", int))
+        if _field(doc, "max_group_qubits", int) != MAX_GROUP_QUBITS:
+            raise ValueError(f"snapshot group ceiling {doc['max_group_qubits']} is not {MAX_GROUP_QUBITS}")
+        world = cls(seed=0)
         state = doc["rng"]
         if not isinstance(state, dict):
             raise ValueError("snapshot PRNG state is not a JSON object")
@@ -800,9 +793,9 @@ class World:
         qids = set()
         for entry in doc["groups"]:
             handles = list(map(_handle, entry["qubits"]))
-            if not 1 <= len(handles) <= world.max_group_qubits:
+            if not 1 <= len(handles) <= MAX_GROUP_QUBITS:
                 raise ValueError(f"snapshot group of {len(handles)} qubits is outside "
-                                 f"[1, max_group_qubits={world.max_group_qubits}]")
+                                 f"[1, max_group_qubits={MAX_GROUP_QUBITS}]")
             amps = np.array([complex(re, im) for re, im in entry["amplitudes"]], dtype=complex)
             _check_state_vector(amps, 2 ** len(handles))
             group = StateGroup(handles, amps)

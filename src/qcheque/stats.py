@@ -11,6 +11,8 @@ __all__ = [
     "wilson_interval",
 ]
 
+_WILSON_Z = 1.96  # the normal quantile of a two-sided 95% interval
+
 
 def binomial_sigma(p: float, trials: int) -> float:
     """Standard deviation of an empirical rate over `trials` Bernoulli(p) draws."""
@@ -35,13 +37,13 @@ def within_sigma(observed: float, expected: float, sigma: float, z: float = 4.0)
     return abs(observed - expected) <= z * sigma + 1e-15
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default)."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes out of range")
-    phat = successes / trials
+    phat, z = successes / trials, _WILSON_Z
     denom = 1.0 + z * z / trials
     centre = phat + z * z / (2 * trials)
     spread = z * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4 * trials * trials))

@@ -34,6 +34,6 @@ def swap_test(world: World, register_a, register_b) -> bool:
     is next used; only when the test passes on identical pure inputs is
     the joint state left exactly as it was.  Registers that differ in
     length, are empty, overlap or name a retired qubit raise
-    ``ValueError``, as does a joint group over the world's ceiling.
+    ``ValueError``, as does a joint group over ``MAX_GROUP_QUBITS``.
     """
     return world.measure_swap(register_a, register_b)

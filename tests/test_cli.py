@@ -424,14 +424,20 @@ def _ceiling_below_widest_group(world):
     world["max_group_qubits"] = max(len(g["qubits"]) for g in world["groups"]) - 1
 
 
-@pytest.mark.parametrize("corrupt", [_empty_group, _ceiling_below_widest_group])
-def test_snapshot_with_invalid_group_is_a_file_error(corrupt, tmp_path):
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_empty_group, "0 qubits is outside"), (_ceiling_below_widest_group, "group ceiling 1 is not 24")],
+    ids=["_empty_group", "_ceiling_below_widest_group"],
+)
+def test_snapshot_with_invalid_group_is_a_file_error(corrupt, message, tmp_path):
     scenario = tmp_path / "scenario.json"
     proc = run_cli("snapshot", *FAST, "--seed", "9", "--snapshot", str(scenario))
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(scenario.read_text())
     corrupt(doc["world"])
     scenario.write_text(json.dumps(doc))
-    proc = run_cli("restore", "--snapshot", str(scenario))
+    resaved = tmp_path / "resaved.json"
+    proc = run_cli("restore", "--snapshot", str(scenario), "--out", str(resaved))
     assert proc.returncode == 3, proc.stderr
-    assert "qubits is outside" in proc.stderr
+    assert message in proc.stderr
+    assert not resaved.exists()

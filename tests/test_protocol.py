@@ -16,6 +16,7 @@ from qcheque.protocol import (
     encode_amount,
     sign_cheque,
 )
+from qcheque import sim
 from qcheque.qowf import prepare_auth_state
 from qcheque.sim import Owner, QubitHandle, World
 
@@ -127,10 +128,11 @@ def test_deposit_consumes_all_quantum_state():
     assert world.qubit_count == 0
 
 
-def test_default_deposit_fits_sixteen_qubit_groups():
+def test_default_deposit_fits_sixteen_qubit_groups(monkeypatch):
     # at l=8, n=8 the widest step is the authentication swap test: 8
     # cheque and 8 target qubits in one group, and nothing else
-    world = World(seed=22, max_group_qubits=16)
+    monkeypatch.setattr(sim, "MAX_GROUP_QUBITS", 16)
+    world = World(seed=22)
     bank = Bank()
     book, _ = bank.gen_account(world, "alice", SchemeParams())
     cheque = sign_cheque(world, book, encode_amount(42))
@@ -160,22 +162,22 @@ def test_honest_deposit_work_is_pinned(monkeypatch):
 
 
 def test_swap_test_over_the_group_ceiling_is_refused_before_any_change():
-    # the 8+8-qubit authentication test builds no 16-qubit state, but its
-    # group would hold 16 qubits, so a ceiling of 15 still refuses it
-    world = World(seed=22, max_group_qubits=15)
+    # the 13+13-qubit authentication test builds no 26-qubit state, but
+    # its group would hold 26 qubits, so the ceiling of 24 still refuses it
+    world = World(seed=22)
     bank = Bank()
-    book, record = bank.gen_account(world, "alice", SchemeParams())
+    book, record = bank.gen_account(world, "alice", SchemeParams(auth_qubits=13))
     cheque = sign_cheque(world, book, encode_amount(42))
     target = prepare_auth_state(world, record.shared_key, BitString.from_text("alice"), cheque.nonce,
-                                cheque.amount, 8, owner=Owner.BANK)
+                                cheque.amount, 13, owner=Owner.BANK)
     before = world.to_json()
-    with pytest.raises(ValueError, match="16-qubit group"):
+    with pytest.raises(ValueError, match="26-qubit group"):
         world.measure_swap(cheque.auth_qubits, target)
     assert world.to_json() == before
     for q in target:
         world.discard(q)
     # the deposit refuses it the same way, and still retires the serial
-    with pytest.raises(ValueError, match="16-qubit group"):
+    with pytest.raises(ValueError, match="26-qubit group"):
         bank.verify_cheque(world, cheque)
     assert record.destroyed and world.qubit_count == 0
     world.check_partition()
@@ -365,13 +367,29 @@ def test_handle_with_a_plain_text_owner_cannot_destroy_another_vault():
     assert_serial_retired(world, bank, record, cheque, posing, cheque.auth_qubits)
 
 
+def test_refused_admission_builds_no_pending_branch():
+    # a swap test leaves the authentication register's group holding its
+    # branch pending; a cheque that also names a vault qubit is refused at
+    # admission, which checks liveness without settling that group
+    world, bank, _, record, cheque = issue(seed=3)
+    probes = [world.allocate(Owner.ADVERSARY) for _ in cheque.auth_qubits]
+    world.measure_swap(list(cheque.auth_qubits), probes)
+    posing = replace(cheque, auth_qubits=cheque.auth_qubits[:-1] + (record.bank_qubits[0],))
+    calls = call_counts(world, "_settle", "_build_branch")
+    with pytest.raises(ValueError, match="bank custody"):
+        bank.verify_cheque(world, posing)
+    assert calls == {"_settle": 0, "_build_branch": 0}
+    assert record.destroyed and not record.spent
+    assert bank.verify_cheque(world, cheque).reason is RejectReason.DOUBLE_SPEND
+
+
 def test_raise_in_the_quantum_phase_still_retires_the_serial():
-    # The 4+4-qubit authentication swap test needs an 8-qubit group, over
-    # this world's ceiling of 6, so the deposit raises after recovery has
+    # The 13+13-qubit authentication swap test needs a 26-qubit group,
+    # over the ceiling of 24, so the deposit raises after recovery has
     # measured the vault.  The exit still destroys the cheque, the rest of
     # the vault and the bank's own swap-test targets, and burns the serial.
-    params = SchemeParams(ghz_triples=2, auth_qubits=4, key_bits=64, serial_bits=64)
-    world = World(seed=5, max_group_qubits=6)
+    params = SchemeParams(ghz_triples=2, auth_qubits=13, key_bits=64, serial_bits=64)
+    world = World(seed=5)
     bank = Bank()
     book, record = bank.gen_account(world, "alice", params)
     cheque = sign_cheque(world, book, encode_amount(42))

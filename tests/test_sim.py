@@ -99,11 +99,12 @@ def test_allocate_group_rejects_wrong_length():
     ([Owner.ALICE, "bank"], [1, 0, 0], "expected 4 amplitudes"),
     ([Owner.ALICE, Owner.BANK], [1, 1, 0, 0], "is not 1"),
     ([], [1], "at least one owner"),
-    ([Owner.ALICE] * 3, [1] + [0] * 7, "exceeds ceiling 2"),
+    # refused before its amplitudes are read
+    ([Owner.ALICE] * 25, [1], "exceeds ceiling 24"),
 ])
 def test_refused_allocation_changes_nothing(owners, amps, message):
     # no qid is spent on a refused group, so the next one numbers on
-    world = World(seed=0, max_group_qubits=2)
+    world = World(seed=0)
     world.allocate(Owner.BANK)
     before = world.to_json()
     with pytest.raises(ValueError, match=message):
@@ -240,42 +241,39 @@ def test_gate_against_dense_contraction_oracle():
 
 
 def test_group_ceiling_enforced_on_merge():
-    world = World(seed=0, max_group_qubits=3)
-    qs = [world.allocate(Owner.ALICE) for _ in range(4)]
-    world.apply_gate(_cnot(), [qs[0], qs[1]])
-    world.apply_gate(_cnot(), [qs[2], qs[3]])
-    with pytest.raises(ValueError):
-        world.apply_gate(_cnot(), [qs[1], qs[2]])
+    world = World(seed=0)
+    rng = np.random.default_rng(0)
+    (a, _), (b, _) = _random_group(world, rng, 13), _random_group(world, rng, 12)
+    with pytest.raises(ValueError, match="25-qubit group"):
+        world.apply_gate(_cnot(), [a[-1], b[0]])
 
 
 def test_refused_swap_test_leaves_world_unchanged():
     rng = np.random.default_rng(5)
-    world = World(seed=5, max_group_qubits=4)
-    qs = [world.allocate(Owner.ALICE, haar_random_qubit(rng)) for _ in range(6)]
+    world = World(seed=5)
+    qs = [world.allocate(Owner.ALICE, haar_random_qubit(rng)) for _ in range(26)]
     before = world.to_json()
-    with pytest.raises(ValueError, match="6-qubit group"):
-        world.measure_swap(qs[:3], qs[3:])
+    with pytest.raises(ValueError, match="26-qubit group"):
+        world.measure_swap(qs[:13], qs[13:])
     assert world.to_json() == before
 
 
 def test_refused_cswap_leaves_world_unchanged():
     rng = np.random.default_rng(6)
-    world = World(seed=6, max_group_qubits=2)
-    qs = [world.allocate(Owner.ALICE, haar_random_qubit(rng)) for _ in range(3)]
+    world = World(seed=6)
+    (a, _), (b, _) = _random_group(world, rng, 13), _random_group(world, rng, 12)
     before = world.to_json()
-    with pytest.raises(ValueError, match="3-qubit group"):
-        world.apply_cswap(*qs)
+    with pytest.raises(ValueError, match="25-qubit group"):
+        world.apply_cswap(a[0], b[0], b[1])
     assert world.to_json() == before
 
 
 def test_refused_reduced_density_leaves_world_unchanged():
     rng = np.random.default_rng(8)
-    world = World(seed=8, max_group_qubits=4)
-    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-    a = world.allocate_group([Owner.ALICE] * 3, amps / np.linalg.norm(amps))
-    b = world.allocate_group([Owner.PAYEE] * 2, [0.5, 0.5, 0.5, -0.5])
+    world = World(seed=8)
+    (a, _), (b, _) = _random_group(world, rng, 13), _random_group(world, rng, 12)
     before = world.to_json()
-    with pytest.raises(ValueError, match="5-qubit group"):
+    with pytest.raises(ValueError, match="25-qubit group"):
         world.reduced_density([a[0], b[0]])
     assert world.to_json() == before
 
@@ -634,6 +632,11 @@ def _empty_group(doc):
     doc["groups"].append({"qubits": [], "amplitudes": [[1.0, 0.0]]})
 
 
+def _group_over_ceiling(doc):
+    # refused on its width, before its amplitudes are read
+    doc["groups"].append({"qubits": [[i, "alice"] for i in range(25)], "amplitudes": [[1.0, 0.0]]})
+
+
 def _ceiling_below_group(doc):
     doc["max_group_qubits"] = max(len(g["qubits"]) for g in doc["groups"]) - 1
 
@@ -642,7 +645,8 @@ def _ceiling_below_group(doc):
     "corrupt, message",
     [(_nan_amplitude, "finite"), (_break_norm, "norm"),
      (_qid_at_next_qid, "next_qid"), (_shared_qid, "twice"),
-     (_empty_group, "0 qubits is outside"), (_ceiling_below_group, "2 qubits is outside")],
+     (_empty_group, "0 qubits is outside"), (_group_over_ceiling, "25 qubits is outside"),
+     (_ceiling_below_group, "group ceiling 1 is not 24")],
 )
 def test_snapshot_rejects_invalid_worlds(corrupt, message):
     world = World(seed=53)
@@ -661,7 +665,7 @@ def test_partition_check_flags_group_size_outside_ceiling(case):
     if case == "empty group":
         world.group_of(qs[0]).qubits.clear()
     else:
-        world.max_group_qubits = 1
+        world.group_of(qs[0]).qubits.extend(QubitHandle(qid, Owner.ALICE) for qid in range(2, 25))
     with pytest.raises(AssertionError, match="qubits is outside"):
         world.check_partition()
 
@@ -1258,7 +1262,7 @@ def _outcome(world, a, b, measure):
         return type(exc), str(exc)
 
 
-def _one_pair_cases(seed, name):
+def _one_pair_cases(seed, name, monkeypatch):
     """A world in the named layout and the one-pair tests to run on it:
     every aligned pair, a handle against itself, and a retired handle on
     either side.  On odd seeds the ceiling is the widest group, so a test
@@ -1266,14 +1270,14 @@ def _one_pair_cases(seed, name):
     world = World(seed=seed)
     a, b = swap_layout(world, np.random.default_rng(seed), name)
     if seed % 2:
-        world.max_group_qubits = max(SWAP_LAYOUTS[name][0])
+        monkeypatch.setattr(sim, "MAX_GROUP_QUBITS", max(SWAP_LAYOUTS[name][0]))
     retired = world.allocate(Owner.BANK)
     world.discard(retired)
     return world, [*zip(a, b), (a[0], a[0]), (retired, b[0]), (b[-1], retired)]
 
 
 @pytest.mark.parametrize("name", sorted(SWAP_LAYOUTS))
-def test_one_pair_swap_tests_match_the_eager_projection(name):
+def test_one_pair_swap_tests_match_the_eager_projection(name, monkeypatch):
     # the same tests built at once on a snapshot twin: the same verdict or
     # error and PRNG state after every test, and the same settled snapshot
     # at the end.  Nothing settles in between, so a later test finds an
@@ -1281,22 +1285,23 @@ def test_one_pair_swap_tests_match_the_eager_projection(name):
     # which a deep copy shows without settling the world
     kinds = set()
     for seed in range(12):
-        world, cases = _one_pair_cases(seed, name)
-        eager = World.from_json(world.to_json())
-        for a, b in cases:
-            before = copy.deepcopy(world)
-            got = _outcome(world, a, b, World.measure_swap)
-            want = _outcome(eager, a, b, _eager_swap)
-            if isinstance(got, bool):
-                assert got == want
-                kinds.add(got)
-            else:
-                # the eager merge words a repeated handle its own way
-                assert got[0] is want[0] is ValueError
-                assert copy.deepcopy(world).to_json() == before.to_json()
-                kinds.add(next(w for w in ("repeat", "unknown", "ceiling") if w in got[1]))
-            assert world.rng.bit_generator.state == eager.rng.bit_generator.state
-        assert world.to_json() == eager.to_json()
+        with monkeypatch.context() as patched:
+            world, cases = _one_pair_cases(seed, name, patched)
+            eager = World.from_json(world.to_json())
+            for a, b in cases:
+                before = copy.deepcopy(world)
+                got = _outcome(world, a, b, World.measure_swap)
+                want = _outcome(eager, a, b, _eager_swap)
+                if isinstance(got, bool):
+                    assert got == want
+                    kinds.add(got)
+                else:
+                    # the eager merge words a repeated handle its own way
+                    assert got[0] is want[0] is ValueError
+                    assert copy.deepcopy(world).to_json() == before.to_json()
+                    kinds.add(next(w for w in ("repeat", "unknown", "ceiling") if w in got[1]))
+                assert world.rng.bit_generator.state == eager.rng.bit_generator.state
+            assert world.to_json() == eager.to_json()
     assert {True, False, "repeat", "unknown"} <= kinds
     # where each pair lies in one group, or joins two that fit under the
     # widest, no test merges past the ceiling
