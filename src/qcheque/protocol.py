@@ -7,7 +7,7 @@ freshly shared GHZ triples whose third qubits stay in the bank's vault.
 Signing draws a nonce, prepares the authentication register binding
 (key, account id, nonce, amount), prepares one amount state per triple
 and teleport-encodes it onto the (cheque, bank) pair, then signs the
-serial number.  A cheque book signs exactly once.
+serial number, once: a book has signed exactly when its key is spent.
 
 Verification is one admission step followed by one exit.  Admission runs
 every classical check before any qubit is touched: record lookup, ledger
@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .bits import BitString
 from .qowf import prepare_amount_state, prepare_auth_state
-from .signatures import PREIMAGE_BITS, LamportSignatureScheme
+from .signatures import PREIMAGE_BITS, LamportSecretKey, LamportSignatureScheme
 from .sim import Owner, QubitHandle, World, _document, _field, _handle, _handle_pair
 from .swaptest import swap_test
 from .teleport import GhzTriple, encode_qubit, prepare_ghz, recover_qubit
@@ -151,11 +151,10 @@ class ChequeBook:
     account_id: str
     serial: BitString
     shared_key: BitString
-    secret_key: object
+    secret_key: LamportSecretKey
     triples: list[GhzTriple]
     params: SchemeParams
     scheme: LamportSignatureScheme
-    used: bool = False
 
 
 @dataclass
@@ -207,7 +206,7 @@ class QuantumCheque:
     @classmethod
     def from_json(cls, doc: dict) -> "QuantumCheque":
         return cls(
-            account_id=doc["account_id"],
+            account_id=_field(doc, "account_id", str),
             serial=BitString.from_binary_text(doc["serial"]),
             nonce=BitString.from_binary_text(doc["nonce"]),
             amount=BitString.from_binary_text(doc["amount"]),
@@ -322,10 +321,10 @@ class Bank:
         `_admit` runs every classical check before any qubit is touched,
         so a replayed serial is refused without consuming bank-side
         entanglement.  Everything after the lookup sits in one
-        `try/finally`, whose exit destroys the submitted registers (never
-        a handle in bank custody) and the bank's own swap-test targets,
-        and retires a known serial along with whatever is left of its
-        vault.  It runs on every return and every raise.
+        `try/finally`, whose exit walks one list of what it destroys: the
+        submitted registers (never a handle in bank custody), the vault
+        of a known serial, and the bank's own swap-test targets.  It then
+        retires that serial.  It runs on every return and every raise.
         """
         log = self._session()
         log("branch", "main", "verify-request",
@@ -333,13 +332,15 @@ class Bank:
         record = self._records.get(str(cheque.serial))
         if record is not None and record.account_id != cheque.account_id:
             record = None
-        # bank-side qubits the exit discards: the vault, then swap-test targets
-        bank_held = [] if record is None else list(record.bank_qubits)
-        # the submitted handles the exit discards, each of an int and an
-        # `Owner`; `_admit` refuses a cheque whose qubit fields hold more
+        # the submitted handles, each of an int and an `Owner`; `_admit`
+        # refuses a cheque whose qubit fields hold more
         submitted = [q for qubits in (cheque.amount_qubits, cheque.auth_qubits)
                      if isinstance(qubits, (tuple, list)) for q in qubits
                      if type(q) is QubitHandle and type(q.qid) is int and type(q.owner) is Owner]
+        # what the exit discards, in order: these outside bank custody, the vault, swap-test targets
+        doomed = [q for q in submitted if q.owner is not Owner.BANK]
+        if record is not None:
+            doomed += record.bank_qubits
         try:
             reason = self._admit(world, cheque, record, submitted, log)
             if reason is not None:
@@ -354,7 +355,7 @@ class Bank:
             amount_passes = []
             for i, cheque_q in enumerate(cheque.amount_qubits, start=1):
                 target = prepare_amount_state(world, cheque.nonce, cheque.amount, i, owner=Owner.BANK)
-                bank_held.append(target)
+                doomed.append(target)
                 amount_passes.append(swap_test(world, [cheque_q], [target]))
                 world.discard(target)
 
@@ -363,7 +364,7 @@ class Bank:
                 world, record.shared_key, BitString.from_text(cheque.account_id), cheque.nonce,
                 cheque.amount, params.auth_qubits, owner=Owner.BANK,
             )
-            bank_held += auth_target
+            doomed += auth_target
             auth_passed = swap_test(world, list(cheque.auth_qubits), auth_target)
             for q in auth_target:
                 world.discard(q)
@@ -380,10 +381,7 @@ class Bank:
             record.spent = accepted  # admitted, so it was unspent
             return VerifyResult(accepted, reason, tuple(amount_passes), auth_passed)
         finally:
-            for q in submitted:
-                if q in world and q.owner is not Owner.BANK:
-                    world.discard(q)
-            for q in bank_held:
+            for q in doomed:
                 if q in world:
                     world.discard(q)
             if record is not None:
@@ -477,7 +475,7 @@ class Bank:
         bank._session_counter = _field(doc, "session_counter", int)
         for entry in doc["records"]:
             record = BankRecord(
-                account_id=entry["account_id"],
+                account_id=_field(entry, "account_id", str),
                 serial=BitString.from_binary_text(entry["serial"]),
                 shared_key=BitString.from_binary_text(entry["shared_key"]),
                 public_key=bank.scheme.public_key_from_json(entry["public_key"]),
@@ -486,6 +484,11 @@ class Bank:
                 spent=_field(entry, "spent", bool),
                 destroyed=_field(entry, "destroyed", bool),
             )
+            if len(record.bank_qubits) != record.params.ghz_triples:
+                raise ValueError(f"record holds {len(record.bank_qubits)} vault qubits, "
+                                 f"scheme expects {record.params.ghz_triples}")
+            if str(record.serial) in bank._records:
+                raise ValueError(f"snapshot lists serial {record.serial} twice")
             bank._records[str(record.serial)] = record
         for m in doc["transcript"]:
             bank.transcript.append(
@@ -503,18 +506,18 @@ class Bank:
 def sign_cheque(world: World, book: ChequeBook, amount: BitString) -> QuantumCheque:
     """Issue a cheque over `amount` from a fresh cheque book.
 
-    Consumes the book: the nonce is drawn, the authentication register is
-    prepared, every amount state is teleport-encoded onto its triple, and
-    the serial is signed with the one-time key.
+    Refuses a spent key or a retired issuer or cheque qubit before it
+    draws anything; then draws the nonce, prepares the authentication
+    register, teleport-encodes every amount state and signs the serial.
     """
-    if book.used:
+    if book.secret_key.used:
         raise ValueError("cheque book has already signed a cheque")
     for triple in book.triples:
-        if triple.used:
+        if triple.issuer_qubit not in world or triple.cheque_qubit not in world:
             raise ValueError(f"triple {triple.index} was already consumed")
 
-    nonce = BitString.random(world.rng, book.params.key_bits)
     id_bits = BitString.from_text(book.account_id)
+    nonce = BitString.random(world.rng, book.params.key_bits)
     auth = prepare_auth_state(
         world, book.shared_key, id_bits, nonce, amount,
         book.params.auth_qubits, owner=Owner.ALICE,
@@ -523,7 +526,6 @@ def sign_cheque(world: World, book: ChequeBook, amount: BitString) -> QuantumChe
         payload = prepare_amount_state(world, nonce, amount, i, owner=Owner.ALICE)
         encode_qubit(world, payload, triple)
     signature = book.scheme.sign(book.secret_key, book.serial)
-    book.used = True
     return QuantumCheque(
         account_id=book.account_id,
         serial=book.serial,

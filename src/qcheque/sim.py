@@ -36,18 +36,19 @@ group.  ``measure_swap`` draws its verdict from blocks, the groups the
 registers touch joined wherever a pair links two of them, since both of
 the norms it needs are products over blocks (Buhrman, Cleve, Watrous and
 de Wolf, *Quantum fingerprinting*, 2001).  A block of two single qubits
-a and b, every block of a deposit, is decided in closed form: its norm is
-<a|a><b|b> and its overlap |<a|b>|^2, so a pure pair passes with
-probability (1 + |<a|b>|^2)/2 and no product state is built.  The joint
-branch it projects onto is left pending on the group that now holds both
-registers.  A group settles, building its pending branch and then
-collapsing its discards in discard order with the stored uniforms, only
-when it is next used: ``group_of``, through which every gate, merge,
-measurement and introspection reaches a group, settles it first, as do
-``to_json`` and ``check_partition`` for every group.  Settling runs the
-arithmetic the eager operation would have run, so the amplitudes are the
-same bit for bit.  A group whose every qubit is discarded is dropped with
-no arithmetic, so a deposit never builds its wide swap-test state.
+a and b, every block of an honest deposit, is decided in closed form:
+its norm is <a|a><b|b> and its overlap |<a|b>|^2, so a pure pair passes
+with probability (1 + |<a|b>|^2)/2 and no product state is built.  The
+joint branch it projects onto is left pending on the group that now
+holds both registers.  A group settles, building its pending branch and
+then collapsing its discards in discard order with the stored uniforms,
+only when it is next used: ``group_of``, through which every gate,
+merge, measurement and introspection reaches a group, settles it first,
+as do ``to_json`` and ``check_partition`` for every group.  Settling
+runs the arithmetic the eager operation would have run, so the
+amplitudes are the same bit for bit.  A group whose every qubit is
+discarded is dropped with no arithmetic, so a deposit never builds its
+wide swap-test state.
 
 Conventions used throughout the package:
 
@@ -770,12 +771,12 @@ class World:
         """Rebuild a world from `to_json` output.
 
         The snapshot's ``max_group_qubits`` must equal ``MAX_GROUP_QUBITS``.
-        Every group must hold one to that many qubits and finite
-        amplitudes of unit norm, and every qubit id must be unique and
-        below ``next_qid``.  Amplitudes are loaded as stored, not
-        renormalised, so saving a world's own `to_json` output back gives
-        the same document.  A document that only means the same is not
-        refused here: numpy coerces the PRNG words, a zero amplitude
+        Every group must hold one to that many qubits and finite amplitudes
+        of unit norm, every qubit id must be unique and below ``next_qid``,
+        and ``next_qid`` must not be negative.  Amplitudes are loaded as
+        stored, not renormalised, so saving a world's own `to_json` output
+        back gives the same document.  A document that only means the same
+        is not refused here: numpy coerces the PRNG words, a zero amplitude
         written ``0`` saves as ``0.0``, and unknown keys are ignored.
         ``qcheque restore`` refuses those by re-saving what it loaded.
         """
@@ -790,6 +791,8 @@ class World:
             raise ValueError("snapshot was produced with a different PRNG")
         world.rng.bit_generator.state = state
         world._next_qid = _field(doc, "next_qid", int)
+        if world._next_qid < 0:
+            raise ValueError(f"snapshot next_qid {world._next_qid} is negative")
         qids = set()
         for entry in doc["groups"]:
             handles = list(map(_handle, entry["qubits"]))

@@ -13,9 +13,9 @@ probability (1+d^2)/2; for mixed marginals the rate is
 "certainly equal".  `swap_test` returns that one bit: True on a pass.
 
 The simulator draws the bit from per-block overlaps, so registers of
-unentangled qubits cost a few 2-qubit products, not one 2^(2n)-amplitude
-state, and it builds the post-measurement state only if one of the
-registers' qubits is used again.
+unentangled qubits are decided pair by pair in closed form, with no
+product state at all, and it builds the post-measurement state only if
+one of the registers' qubits is used again.
 """
 
 from __future__ import annotations

@@ -70,14 +70,14 @@ class GhzTriple:
 
     `issuer_qubit` is consumed by the encode-time Bell measurement,
     `cheque_qubit` travels with the signed cheque, `bank_qubit` stays in
-    the bank's vault.  A triple encodes at most once.
+    the bank's vault.  A triple encodes at most once, and it has encoded
+    exactly when its issuer qubit is no longer in the world.
     """
 
     index: int
     issuer_qubit: QubitHandle
     cheque_qubit: QubitHandle
     bank_qubit: QubitHandle
-    used: bool = False
 
 
 def prepare_ghz(world: World, index: int) -> GhzTriple:
@@ -97,11 +97,10 @@ def encode_qubit(world: World, payload: QubitHandle, triple: GhzTriple) -> BellO
     the Bell outcome; the correction applied is
     ``ENCODE_CORRECTIONS[outcome]``.
     """
-    if triple.used:
+    if triple.issuer_qubit not in world:
         raise ValueError(f"triple {triple.index} has already encoded a qubit")
     outcome = world.measure_bell(payload, triple.issuer_qubit)
     world.apply_gate(ENCODE_CORRECTIONS[outcome][1], [triple.cheque_qubit])
-    triple.used = True
     return outcome
 
 

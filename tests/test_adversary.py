@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,13 +24,15 @@ from qcheque.adversary import (
     CloneResult,
     _acceptance_probability,
     _clone_pass_probabilities,
+    _fresh_session,
+    _trial_clone_double_spend,
     clone_qubit,
     local_tamper,
     run_attack,
     run_honest,
 )
 from qcheque.bits import BitString
-from qcheque.protocol import AcceptancePolicy, Bank, SchemeParams, encode_amount, sign_cheque
+from qcheque.protocol import AcceptancePolicy, Bank, RejectReason, SchemeParams, encode_amount, sign_cheque
 from qcheque.qowf import amount_state_amplitudes, auth_state_amplitudes
 from qcheque.sim import HADAMARD, Owner, World, haar_random_qubit
 from qcheque.stats import within_sigma
@@ -50,6 +53,20 @@ PINNED_DIGESTS = {
     "tamper-amount": "a8365b9b870ec89d9573acd162c9fd97cea330a7d4f340a70237e9d31e200ac7",
     "forge-key-guess": "da69daa823686fc4f2905672c6b771dbc1b547096dd3e7821c686502a55b15b5",
     "local-tamper": "d78db6dfb1f4d1700f8c8db7d994ab91ae1e0b9c31fb0345865cc15a7444be52",
+}
+
+# sha256 of json.dumps(world.to_json(), sort_keys=True) after trial 0 of
+# clone-double-spend, by seed and deposit: the trial as played, or one
+# deposit of the cloned registers under a zeroed signature, which is
+# refused while the vault is still live.  A cloned register leaves groups
+# with discards pending, and `to_json` settles them in discard order with
+# the uniforms drawn at discard time, so any change to the order in which
+# a deposit's exit discards what it destroys moves these digests.
+PINNED_CLONE_WORLDS = {
+    (3, "trial"): "986328be9457ac464122c175a36498ec7a33f553e7d6485146c0d06ebc5c37be",
+    (4, "trial"): "ebdadf66d4b8b39d3f542df0f488faae7c6bcafa8372942a21133f63d929aa99",
+    (3, "bad signature"): "f681528a7753bd9ce5e57d40352fa0ecaa642033f3bbfbb38cff69d8a1bdf9b1",
+    (4, "bad signature"): "45bf569ed7a03a462d06f68a551a7e157975e2672506dce75bfa4d764f496f05",
 }
 
 
@@ -381,3 +398,20 @@ def test_fixed_seed_stats_are_pinned(strategy):
         stats = run_attack(strategy, params, trials=15, seed=7)
     doc = json.dumps(stats.to_json(), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == PINNED_DIGESTS[strategy]
+
+
+@pytest.mark.parametrize("seed, deposit", sorted(PINNED_CLONE_WORLDS))
+def test_clone_world_after_a_deposit_is_pinned(seed, deposit):
+    world, bank, record, cheque = _fresh_session(seed, 0, SMALL)
+    if deposit == "trial":
+        _trial_clone_double_spend(world, bank, record, cheque)
+    else:
+        forged = replace(
+            cheque,
+            signature=bytes(len(cheque.signature)),
+            amount_qubits=tuple(clone_qubit(world, q).copy for q in cheque.amount_qubits),
+            auth_qubits=tuple(clone_qubit(world, q).copy for q in cheque.auth_qubits),
+        )
+        assert bank.verify_cheque(world, forged).reason is RejectReason.BAD_SIGNATURE
+    doc = json.dumps(world.to_json(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == PINNED_CLONE_WORLDS[seed, deposit]

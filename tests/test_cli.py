@@ -441,3 +441,47 @@ def test_snapshot_with_invalid_group_is_a_file_error(corrupt, message, tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert message in proc.stderr
     assert not resaved.exists()
+
+
+def _account_id_as_int(doc):
+    doc["bank"]["records"][0]["account_id"] = doc["cheque"]["account_id"] = 7
+
+
+def _vault_cut_to_one_qubit(doc):
+    del doc["bank"]["records"][0]["bank_qubits"][1:]
+
+
+def _serial_listed_twice(doc):
+    records = doc["bank"]["records"]
+    records.append(json.loads(json.dumps(records[0])))
+
+
+def _no_groups_and_negative_next_qid(doc):
+    doc["world"]["groups"], doc["world"]["next_qid"] = [], -3
+
+
+# Scenarios that restored whole and left a deposit that could not end
+# cleanly: an int account id raised past retirement, a cut vault accepted
+# and left its unlisted qubit live, a repeated serial dropped a record and
+# a negative next_qid made a world whose own save does not load.
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_account_id_as_int, "account_id must be str, got 7"),
+     (_vault_cut_to_one_qubit, "record holds 1 vault qubits, scheme expects 2"),
+     (_serial_listed_twice, "twice"),
+     (_no_groups_and_negative_next_qid, "next_qid -3 is negative")],
+    ids=["_account_id_as_int", "_vault_cut_to_one_qubit", "_serial_listed_twice",
+         "_no_groups_and_negative_next_qid"],
+)
+def test_snapshot_a_deposit_cannot_end_is_a_file_error(corrupt, message, tmp_path):
+    scenario = tmp_path / "scenario.json"
+    proc = run_cli("snapshot", *FAST, "--seed", "9", "--snapshot", str(scenario))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(scenario.read_text())
+    corrupt(doc)
+    scenario.write_text(json.dumps(doc))
+    resaved = tmp_path / "resaved.json"
+    proc = run_cli("restore", "--snapshot", str(scenario), "--out", str(resaved))
+    assert proc.returncode == 3, proc.stderr
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert not resaved.exists()

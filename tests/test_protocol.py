@@ -410,6 +410,40 @@ def test_cheque_book_signs_once():
         sign_cheque(world, book, encode_amount(2))
 
 
+def _spend_key(world, book):
+    book.scheme.sign(book.secret_key, book.serial)
+
+
+def _discard_issuer_qubit(world, book):
+    world.discard(book.triples[2].issuer_qubit)
+
+
+def _discard_cheque_qubit(world, book):
+    world.discard(book.triples[2].cheque_qubit)
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [(_spend_key, "cheque book has already signed"),
+     (_discard_issuer_qubit, "triple 3 was already consumed"),
+     (_discard_cheque_qubit, "triple 3 was already consumed")],
+)
+def test_signing_refuses_a_spent_book_before_it_draws(spoil, message):
+    # the key's own flag and the world's record of each triple's qubits
+    # are what signing reads; a refusal draws nothing, allocates nothing
+    # and encodes no triple
+    world = World(seed=5)
+    book, _ = Bank().gen_account(world, "alice", replace(SMALL, ghz_triples=3))
+    spoil(world, book)
+    before = world.to_json()
+    live = [[q in world for q in (t.issuer_qubit, t.cheque_qubit, t.bank_qubit)] for t in book.triples]
+    with pytest.raises(ValueError, match=message):
+        sign_cheque(world, book, encode_amount(42))
+    assert world.to_json() == before
+    assert [[q in world for q in (t.issuer_qubit, t.cheque_qubit, t.bank_qubit)]
+            for t in book.triples] == live
+
+
 # ---------------------------------------------------------------- ledger
 
 
@@ -465,6 +499,16 @@ def test_bank_refuses_a_session_counter_below_its_transcript():
     assert Bank.from_json(empty).to_json() == empty
     with pytest.raises(ValueError, match="below logged session 0"):
         Bank.from_json({**empty, "session_counter": -1})
+
+
+def test_bank_snapshot_refuses_a_serial_listed_twice():
+    # records are keyed by serial, so a second listing would replace the
+    # first without a word
+    _, bank, _, _, _ = issue(seed=28)
+    doc = bank.to_json()
+    doc["records"].append(doc["records"][0])
+    with pytest.raises(ValueError, match="twice"):
+        Bank.from_json(doc)
 
 
 def test_bank_with_an_int_threshold_round_trips_byte_identically():

@@ -641,12 +641,19 @@ def _ceiling_below_group(doc):
     doc["max_group_qubits"] = max(len(g["qubits"]) for g in doc["groups"]) - 1
 
 
+def _negative_next_qid(doc):
+    # with no qubit id to fall outside [0, next_qid), only the counter
+    # shows; the next allocation would take id -3
+    doc["groups"], doc["next_qid"] = [], -3
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [(_nan_amplitude, "finite"), (_break_norm, "norm"),
      (_qid_at_next_qid, "next_qid"), (_shared_qid, "twice"),
      (_empty_group, "0 qubits is outside"), (_group_over_ceiling, "25 qubits is outside"),
-     (_ceiling_below_group, "group ceiling 1 is not 24")],
+     (_ceiling_below_group, "group ceiling 1 is not 24"),
+     (_negative_next_qid, "next_qid -3 is negative")],
 )
 def test_snapshot_rejects_invalid_worlds(corrupt, message):
     world = World(seed=53)

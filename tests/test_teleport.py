@@ -59,12 +59,11 @@ def test_ghz_amplitudes_and_custody():
     assert triple.issuer_qubit.owner is Owner.ALICE
     assert triple.cheque_qubit.owner is Owner.ALICE
     assert triple.bank_qubit.owner is Owner.BANK
-    assert triple.index == 3 and not triple.used
+    assert triple.index == 3 and triple.issuer_qubit in world
 
 
 def test_encode_consumes_payload_and_issuer_qubit():
     world, triple, outcome = encode_fixed_payload(2)
-    assert triple.used
     assert triple.issuer_qubit not in world
     assert triple.cheque_qubit in world and triple.bank_qubit in world
     assert isinstance(outcome, BellOutcome)
