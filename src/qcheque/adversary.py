@@ -55,9 +55,9 @@ from .protocol import (
     sign_cheque,
 )
 from .qowf import (
-    amount_state_amplitudes,
+    amount_register_amplitudes,
     auth_state_amplitudes,
-    prepare_amount_state,
+    prepare_amount_register,
     prepare_auth_state,
 )
 from .sim import MAX_GROUP_QUBITS, PAULI_X, Owner, QubitHandle, World
@@ -301,13 +301,9 @@ def _trial_clone_double_spend(world, bank, record, cheque):
 def _trial_tamper_amount(world, bank, record, cheque):
     result = bank.verify_cheque(world, replace(cheque, amount=_LIE))
     params = record.params
-    amount_probs = [
-        _swap_pass(
-            [amount_state_amplitudes(cheque.nonce, cheque.amount, i)],
-            [amount_state_amplitudes(cheque.nonce, _LIE, i)],
-        )
-        for i in range(1, params.ghz_triples + 1)
-    ]
+    signed = amount_register_amplitudes(cheque.nonce, cheque.amount, params.ghz_triples)
+    claimed = amount_register_amplitudes(cheque.nonce, _LIE, params.ghz_triples)
+    amount_probs = [_swap_pass([s], [c]) for s, c in zip(signed, claimed)]
     auth_prob = _swap_pass(
         auth_state_amplitudes(record.shared_key, _ID_BITS, cheque.nonce, cheque.amount,
                               params.auth_qubits),
@@ -329,8 +325,7 @@ def _trial_forge_key_guess(world, bank, record, cheque):
         nonce=nonce,
         amount=_LIE,
         amount_qubits=tuple(
-            prepare_amount_state(world, nonce, _LIE, i, owner=Owner.ADVERSARY)
-            for i in range(1, params.ghz_triples + 1)
+            prepare_amount_register(world, nonce, _LIE, params.ghz_triples, owner=Owner.ADVERSARY)
         ),
         auth_qubits=tuple(
             prepare_auth_state(
@@ -344,8 +339,7 @@ def _trial_forge_key_guess(world, bank, record, cheque):
     # Recovery applies I or Z to the fabricated state with chance 1/2
     # each, so a register passes with 1/2 + (1 + |<g|Z|g>|^2) / 4.
     amount_probs = []
-    for i in range(1, params.ghz_triples + 1):
-        a0, a1 = amount_state_amplitudes(nonce, _LIE, i)
+    for a0, a1 in amount_register_amplitudes(nonce, _LIE, params.ghz_triples):
         dz = abs(abs(a0) ** 2 - abs(a1) ** 2)
         amount_probs.append(0.5 + 0.25 * (1.0 + dz * dz))
     auth_prob = _swap_pass(
@@ -362,8 +356,7 @@ def _trial_local_tamper(world, bank, record, cheque):
     # an X slipped in before recovery comes out as exactly X|g>, so
     # the test passes with (1 + |<g|X|g>|^2) / 2
     amount_probs = []
-    for i in range(1, record.params.ghz_triples + 1):
-        a0, a1 = amount_state_amplitudes(cheque.nonce, cheque.amount, i)
+    for a0, a1 in amount_register_amplitudes(cheque.nonce, cheque.amount, record.params.ghz_triples):
         amount_probs.append(_swap_pass([(a1, a0)], [(a0, a1)]))
     return result, _acceptance_probability(record.params.policy, amount_probs, 1.0), {}
 

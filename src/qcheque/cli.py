@@ -38,7 +38,7 @@ from .protocol import (
     encode_amount,
     sign_cheque,
 )
-from .qowf import prepare_amount_state
+from .qowf import prepare_amount_register
 from .sim import Owner, World, _document, haar_random_qubit
 from .stats import within_sigma
 from .swaptest import swap_test
@@ -224,11 +224,11 @@ def _check_teleport_roundtrip() -> None:
     triple = prepare_ghz(world, 1)
     amount = encode_amount(7)
     nonce = amount  # any bits will do for a smoke check
-    payload = prepare_amount_state(world, nonce, amount, 1)
+    payload, = prepare_amount_register(world, nonce, amount, 1)
     encode_qubit(world, payload, triple)
     recover_qubit(world, triple.bank_qubit, triple.cheque_qubit)
     world.discard(triple.bank_qubit)
-    target = prepare_amount_state(world, nonce, amount, 1)
+    target, = prepare_amount_register(world, nonce, amount, 1)
     if not swap_test(world, [triple.cheque_qubit], [target]):
         raise AssertionError("recovered state failed its swap test")
     world.discard(triple.cheque_qubit)

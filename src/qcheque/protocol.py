@@ -36,7 +36,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .bits import BitString
-from .qowf import prepare_amount_state, prepare_auth_state
+from .qowf import prepare_amount_register, prepare_auth_state
 from .signatures import PREIMAGE_BITS, LamportSecretKey, LamportSignatureScheme
 from .sim import Owner, QubitHandle, World, _document, _field, _handle, _handle_pair
 from .swaptest import swap_test
@@ -271,7 +271,13 @@ class Bank:
     # ------------------------------------------------------------------
 
     def gen_account(self, world: World, account_id: str, params: SchemeParams) -> tuple[ChequeBook, BankRecord]:
-        """Open an account: shared key, serial, signing keys, GHZ triples."""
+        """Open an account: shared key, serial, signing keys, GHZ triples;
+        an `account_id` that is not a `str` or `params` that are not
+        `SchemeParams` raise `ValueError` before anything is drawn."""
+        if type(account_id) is not str:
+            raise ValueError(f"account_id must be str, got {account_id!r}")
+        if not isinstance(params, SchemeParams):
+            raise ValueError(f"params must be SchemeParams, got {params!r}")
         log = self._session()
         serial = BitString.random(world.rng, params.serial_bits)
         while str(serial) in self._records:
@@ -338,7 +344,8 @@ class Bank:
                      if isinstance(qubits, (tuple, list)) for q in qubits
                      if type(q) is QubitHandle and type(q.qid) is int and type(q.owner) is Owner]
         # what the exit discards, in order: these outside bank custody, the vault, swap-test targets
-        doomed = [q for q in submitted if q.owner is not Owner.BANK]
+        bank = Owner.BANK  # a local: an enum member lookup costs more than the test
+        doomed = [q for q in submitted if q.owner is not bank]
         if record is not None:
             doomed += record.bank_qubits
         try:
@@ -352,14 +359,15 @@ class Bank:
                 log("main", "branch", "recovery-outcome", {"index": i, "outcome": outcome.value})
                 world.discard(bank_q)
 
+            params = record.params
+            targets = prepare_amount_register(world, cheque.nonce, cheque.amount,
+                                              params.ghz_triples, owner=Owner.BANK)
+            doomed += targets
             amount_passes = []
-            for i, cheque_q in enumerate(cheque.amount_qubits, start=1):
-                target = prepare_amount_state(world, cheque.nonce, cheque.amount, i, owner=Owner.BANK)
-                doomed.append(target)
+            for cheque_q, target in zip(cheque.amount_qubits, targets):
                 amount_passes.append(swap_test(world, [cheque_q], [target]))
                 world.discard(target)
 
-            params = record.params
             auth_target = prepare_auth_state(
                 world, record.shared_key, BitString.from_text(cheque.account_id), cheque.nonce,
                 cheque.amount, params.auth_qubits, owner=Owner.BANK,
@@ -422,10 +430,11 @@ class Bank:
             )
         if len(set(submitted)) != len(submitted):
             raise ValueError("cheque lists a qubit handle twice")
+        bank = Owner.BANK
         for q in submitted:
             if q not in world:
                 raise ValueError(f"unknown or retired qubit handle {q!r}")
-            if q.owner is Owner.BANK:
+            if q.owner is bank:
                 raise ValueError(f"cheque lists {q!r}, which is in bank custody")
         return None
 
@@ -506,10 +515,13 @@ class Bank:
 def sign_cheque(world: World, book: ChequeBook, amount: BitString) -> QuantumCheque:
     """Issue a cheque over `amount` from a fresh cheque book.
 
-    Refuses a spent key or a retired issuer or cheque qubit before it
-    draws anything; then draws the nonce, prepares the authentication
-    register, teleport-encodes every amount state and signs the serial.
+    Refuses an amount that is not a `BitString`, a spent key or a retired
+    issuer or cheque qubit before it draws anything; then draws the nonce,
+    prepares the authentication and amount registers, teleport-encodes
+    every amount state and signs the serial.
     """
+    if not isinstance(amount, BitString):
+        raise ValueError(f"amount must be a BitString, got {amount!r}")
     if book.secret_key.used:
         raise ValueError("cheque book has already signed a cheque")
     for triple in book.triples:
@@ -522,8 +534,8 @@ def sign_cheque(world: World, book: ChequeBook, amount: BitString) -> QuantumChe
         world, book.shared_key, id_bits, nonce, amount,
         book.params.auth_qubits, owner=Owner.ALICE,
     )
-    for i, triple in enumerate(book.triples, start=1):
-        payload = prepare_amount_state(world, nonce, amount, i, owner=Owner.ALICE)
+    payloads = prepare_amount_register(world, nonce, amount, len(book.triples), owner=Owner.ALICE)
+    for payload, triple in zip(payloads, book.triples):
         encode_qubit(world, payload, triple)
     signature = book.scheme.sign(book.secret_key, book.serial)
     return QuantumCheque(

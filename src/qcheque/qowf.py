@@ -10,8 +10,12 @@ Two preparations are built on this:
 
 * an authentication register binding (key, account id, nonce, amount),
   recomputable only with the shared key, and
-* single-qubit amount states binding (nonce, amount, position), one per
-  entangled triple of a cheque.
+* an amount register, one single-qubit state per entangled triple of a
+  cheque, state i binding (nonce, amount, i); (tag, nonce, amount) is
+  framed once and each 32-bit index appended, the bytes of framing all
+  four fields per state.
+
+Each is derived and allocated as one register.
 
 SHA-256 is the single expansion function used here; swap `_HASH` to
 rebase the whole construction on a different hash.
@@ -30,9 +34,9 @@ __all__ = [
     "derive_angles",
     "angles_to_amplitudes",
     "auth_state_amplitudes",
-    "amount_state_amplitudes",
+    "amount_register_amplitudes",
     "prepare_auth_state",
-    "prepare_amount_state",
+    "prepare_amount_register",
 ]
 
 _HASH = hashlib.sha256
@@ -45,6 +49,7 @@ _QUBIT_WORDS = struct.Struct(">QQ")
 _AUTH_TAG = BitString.from_text("auth-state")
 _AMOUNT_TAG = BitString.from_text("amount-state")
 _INDEX_WIDTH = (32).to_bytes(4, "big")
+_FIRST_BLOCK = (0).to_bytes(4, "big")
 
 
 def _expand(data: bytes, nbytes: int) -> bytes:
@@ -62,8 +67,13 @@ def derive_angles(data: bytes, count: int) -> list[tuple[float, float]]:
     """
     if count < 1:
         raise ValueError("count must be positive")
+    return _angles(_expand(data, 16 * count))
+
+
+def _angles(stream: bytes) -> list[tuple[float, float]]:
+    """The (theta, phi) pair of each 16 bytes of `stream`."""
     return [(math.acos(math.sqrt(w1 / _TWO_64)), _TWO_PI * (w2 / _TWO_64))
-            for w1, w2 in _QUBIT_WORDS.iter_unpack(_expand(data, 16 * count))]
+            for w1, w2 in _QUBIT_WORDS.iter_unpack(stream)]
 
 
 def angles_to_amplitudes(theta: float, phi: float) -> tuple[complex, complex]:
@@ -83,19 +93,18 @@ def auth_state_amplitudes(
     return [angles_to_amplitudes(t, p) for t, p in derive_angles(data, num_qubits)]
 
 
-def amount_state_amplitudes(
-    nonce: BitString, amount: BitString, index: int
-) -> tuple[complex, complex]:
-    """Amplitude pair of the amount state riding triple number `index`.
-
-    `index` is the 1-based position of the entangled triple.
-    """
-    if not 1 <= index < 1 << 32:
-        raise ValueError(f"index {index} is outside [1, 2**32)")
-    # the frame of BitString.from_int(index, 32), written directly
-    data = frame_fields(_AMOUNT_TAG, nonce, amount) + _INDEX_WIDTH + index.to_bytes(4, "big")
-    (theta, phi), = derive_angles(data, 1)
-    return angles_to_amplitudes(theta, phi)
+def amount_register_amplitudes(
+    nonce: BitString, amount: BitString, count: int
+) -> list[tuple[complex, complex]]:
+    """Amplitude pairs of the amount states riding triples 1 to `count`:
+    state i is one qubit of `derive_angles` over the frame of (tag, nonce,
+    amount, i as 32 bits), the first 16 bytes of its block 0."""
+    if not 1 <= count < 1 << 32:
+        raise ValueError(f"count {count} is outside [1, 2**32)")
+    prefix = frame_fields(_AMOUNT_TAG, nonce, amount) + _INDEX_WIDTH
+    stream = b"".join(_HASH(prefix + i.to_bytes(4, "big") + _FIRST_BLOCK).digest()[:16]
+                      for i in range(1, count + 1))
+    return [angles_to_amplitudes(t, p) for t, p in _angles(stream)]
 
 
 def prepare_auth_state(
@@ -112,12 +121,12 @@ def prepare_auth_state(
     return world.allocate_register(owner, pairs)
 
 
-def prepare_amount_state(
+def prepare_amount_register(
     world: World,
     nonce: BitString,
     amount: BitString,
-    index: int,
+    count: int,
     owner: Owner = Owner.ALICE,
-) -> QubitHandle:
-    """Allocate the single-qubit state binding (nonce, amount, index)."""
-    return world.allocate(owner, amount_state_amplitudes(nonce, amount, index))
+) -> list[QubitHandle]:
+    """Allocate the `count` amount states of (nonce, amount), in triple order."""
+    return world.allocate_register(owner, amount_register_amplitudes(nonce, amount, count))

@@ -4,7 +4,8 @@ A :class:`World` owns every qubit in a scenario.  Qubits that have never
 interacted live in separate state groups, so a world of many independent
 small registers stays cheap: cost scales with the largest entangled group,
 not with the total qubit count.  Multi-qubit operations merge groups on
-demand.
+demand.  A register of independent qubits is allocated in one pass, and
+not at all if any of its states is refused.
 
 The world keeps one registry, the qubit index, which maps every live
 qubit to its group; a group lives exactly while one of its qubits does.
@@ -367,8 +368,22 @@ class World:
         return self.allocate_group([owner], amplitudes)[0]
 
     def allocate_register(self, owner: Owner, amplitude_pairs) -> list[QubitHandle]:
-        """Add independent qubits, one group each, from (amp0, amp1) pairs."""
-        return [self.allocate(owner, pair) for pair in amplitude_pairs]
+        """Add independent qubits, one group each, from (amp0, amp1) pairs,
+        in one pass: each row of one array is checked and normalised as
+        `allocate` does it, and a refused row allocates nothing."""
+        owner = owner if type(owner) is Owner else Owner(owner)
+        # one flat row per pair, as `allocate` flattens its amplitudes; no pairs, (0, 0)
+        rows = np.array(amplitude_pairs, dtype=complex)
+        rows = rows.reshape(len(rows), rows.size // max(len(rows), 1))
+        for row in rows:
+            norm = _check_state_vector(row, 2)
+            if norm != 1.0:
+                row /= norm
+        handles = [QubitHandle(qid, owner) for qid in range(self._next_qid, self._next_qid + len(rows))]
+        self._next_qid += len(rows)
+        for h, row in zip(handles, rows):
+            self._index[h] = StateGroup([h], row)
+        return handles
 
     def allocate_group(self, owners, amplitudes) -> list[QubitHandle]:
         """Add a fresh, possibly entangled group of len(owners) qubits."""

@@ -33,7 +33,7 @@ from qcheque.adversary import (
 )
 from qcheque.bits import BitString
 from qcheque.protocol import AcceptancePolicy, Bank, RejectReason, SchemeParams, encode_amount, sign_cheque
-from qcheque.qowf import amount_state_amplitudes, auth_state_amplitudes
+from qcheque.qowf import amount_register_amplitudes, auth_state_amplitudes
 from qcheque.sim import HADAMARD, Owner, World, haar_random_qubit
 from qcheque.stats import within_sigma
 
@@ -300,13 +300,13 @@ def _simulated_clone_pass_probabilities(params):
     cheque = sign_cheque(world, book, encode_amount(AMOUNT_UNITS))
 
     amount_probs = []
-    for i, q in enumerate(cheque.amount_qubits, start=1):
+    targets = amount_register_amplitudes(cheque.nonce, cheque.amount, params.ghz_triples)
+    for q, vault, pair in zip(cheque.amount_qubits, record.bank_qubits, targets, strict=True):
         clone = clone_qubit(world, q).copy
-        vault = record.bank_qubits[i - 1]
         world.apply_gate(HADAMARD, [vault])
         world.apply_gate(_CZ, [vault, clone])
         rho = world.reduced_density([clone])
-        target = np.array(amount_state_amplitudes(cheque.nonce, cheque.amount, i))
+        target = np.array(pair)
         amount_probs.append(0.5 * (1.0 + float(np.real(np.vdot(target, rho @ target)))))
 
     pairs = auth_state_amplitudes(record.shared_key, BitString.from_text(ACCOUNT_ID),

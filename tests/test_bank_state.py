@@ -15,11 +15,18 @@ which qubits must still be live.  After every step:
 - no retired account holds a live vault qubit;
 - `world.qubit_count` equals the registers still held;
 - the bank saves as JSON, and loading that text saves the same text.
+
+The issuer is held to the same rule: opening an account under an
+account id that is not a `str` or with params that are not
+`SchemeParams`, and signing an amount that is not a `BitString` from a
+fresh book, raise `ValueError` and leave the world's snapshot and the
+bank's saved text as they were.
 """
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -58,8 +65,11 @@ class BankMachine(RuleBasedStateMachine):
             book, record = self.bank.gen_account(self.world, name, PARAMS)
             self.records.append(record)
             self.cheques.append(sign_cheque(self.world, book, encode_amount(7)))
-        # handles the payees still hold; the model's view of the world
+        # an account whose book never signs, for the issuer's refusals
+        self.spare_book, self.spare_record = self.bank.gen_account(self.world, "dave", PARAMS)
+        # handles the payees and the spare book still hold; the model's view of the world
         self.held = {q for c in self.cheques for q in registers(c)}
+        self.held |= {q for t in self.spare_book.triples for q in (t.issuer_qubit, t.cheque_qubit)}
         self.ledger = [(False, False)] * accounts
         self.last = None
 
@@ -171,6 +181,25 @@ class BankMachine(RuleBasedStateMachine):
         ))
         self.submit(replace(cheque, **{field: replacement}))
 
+    def refused(self, issue):
+        """`issue()` raises `ValueError` and changes nothing saved."""
+        saved = lambda: (json.dumps(self.world.to_json()), json.dumps(self.bank.to_json()))
+        before = saved()
+        with pytest.raises(ValueError):
+            issue()
+        assert saved() == before
+
+    @rule(account_id=st.one_of(st.none(), st.integers(), st.binary(max_size=4), st.just(["erin"])),
+          bad_params=st.sampled_from([None, asdict(PARAMS)]), which=st.booleans())
+    def refused_account(self, account_id, bad_params, which):
+        args = (account_id, PARAMS) if which else ("erin", bad_params)
+        self.refused(lambda: self.bank.gen_account(self.world, *args))
+
+    @rule(amount=st.one_of(st.none(), st.integers(), st.just("7"), st.just(b"7"),
+                           st.just(str(encode_amount(7)))))
+    def refused_cheque(self, amount):
+        self.refused(lambda: sign_cheque(self.world, self.spare_book, amount))
+
     @invariant()
     def ledger_moves_forward(self):
         for k, record in enumerate(self.records):
@@ -190,6 +219,8 @@ class BankMachine(RuleBasedStateMachine):
             else:
                 assert all(live)
                 vault.update(record.bank_qubits)
+        assert all(q in self.world for q in self.spare_record.bank_qubits)
+        vault.update(self.spare_record.bank_qubits)
         assert all(q in self.world for q in self.held)
         assert self.world.qubit_count == len(self.held) + len(vault)
 

@@ -32,15 +32,18 @@ PINNED_OUTPUT_DIGESTS = {
     "forge-key-guess": "4d3b14e0933ade932abf28a79e592d8a32bf6ebcc293ce2daeb7eb2091878f70",
     "local-tamper": "b3df6e0a1a232a2cc41934964e857ea0b683984595d66ef7c597effa3ae14474",
     "snapshot": "7c549f43cfec61e16cee7e0356f1e10bca7c5fa0dc53db32a12b879fbbd92b62",
+    "snapshot l=8 n=8": "cc233597bf67f60c8ba920390d42efea9427201144d64c228900881acfa2e3c1",
     "run-honest l=8 n=8": "7be98e69ecc84b27bcd230b3d8f52e396287c6e481e2c745dd4b62ab1f504370",
     "clone-double-spend l=8 n=3": "1952152a125255533167d331f8a635166d130be8839542534d8989a098b0995d",
     "clone-double-spend l=2 n=6": "b7ad5d90d1df1264f3257849cb03d7f2ba4110faafb8b901035d038e773d9213",
 }
 # The pins at the benchmark's widths, each as its command and sizes: an
 # honest deposit's 8-pair authentication test, the entangled blocks of a
-# cloned cheque's tests, and a cloned authentication test whose group
-# would hold 4 * 6 = 24 qubits, the ceiling.
+# cloned cheque's tests, a cloned authentication test whose group would
+# hold 4 * 6 = 24 qubits, the ceiling, and the issuer's registers at the
+# paper's l=8, n=8.
 WIDE_PINS = {
+    "snapshot l=8 n=8": ("snapshot", ["--l", "8", "--n", "8"]),
     "run-honest l=8 n=8": ("run-honest", ["--l", "8", "--n", "8"]),
     "clone-double-spend l=8 n=3": (
         "clone-double-spend", ["--l", "8", "--n", "3", "--key-bits", "64", "--serial-bits", "64"]),
@@ -58,9 +61,9 @@ def run_cli(*args, cwd=None):
 @pytest.mark.parametrize("command", sorted(PINNED_OUTPUT_DIGESTS))
 def test_fixed_seed_output_bytes_are_pinned(command, tmp_path):
     name, sizes = WIDE_PINS.get(command, (command, FAST))
-    if command == "snapshot":
+    if name == "snapshot":
         scenario = tmp_path / "scenario.json"
-        proc = run_cli("snapshot", *FAST, "--seed", "9", "--snapshot", str(scenario))
+        proc = run_cli("snapshot", *sizes, "--seed", "9", "--snapshot", str(scenario))
         output = scenario.read_bytes()  # the summary echoes the path; hash the file
     elif name == "run-honest":
         proc = run_cli("run-honest", *sizes, "--trials", "10", "--seed", "11")

@@ -3,6 +3,7 @@
 import json
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 from helpers import call_counts, collapse_widths, flip, messages_in_session, product_widths
 
@@ -143,20 +144,22 @@ def test_honest_deposit_work_is_pinned(monkeypatch):
     # the work of an honest l=8, n=8 deposit as exact counts, so a change
     # in work shows without timing.  Every register a deposit discards is
     # dropped, not collapsed: the only collapses are the recovery X
-    # measurements, one per 2-qubit triple remnant.  Each swap target is
-    # one fresh qubit (8 amount, 8 authentication), and the deposit places
-    # 17 groups: 8 re-adopted vault qubits and 9 swap-test groups.  Each
-    # swap test is decided in closed form from blocks of one cheque and
-    # one target qubit, and its group, dropped unused, is never built: no
-    # merge, no settle and no tensor product at all
+    # measurements, one per 2-qubit triple remnant.  The swap targets,
+    # one fresh qubit each, come as two registers of one allocation each
+    # (8 amount, then 8 authentication), so no group is allocated alone.
+    # The deposit places 17 groups: 8 re-adopted vault qubits and 9
+    # swap-test groups.  Each swap test is decided in closed form from
+    # blocks of one cheque and one target qubit, and its group, dropped
+    # unused, is never built: no merge, no settle and no tensor product
     world, bank, _, _, cheque = issue(seed=22, params=SchemeParams())
     widths = collapse_widths(world)
     products = product_widths(monkeypatch)
-    calls = call_counts(world, "allocate_group", "_place", "measure_swap", "discard", "_merge", "_settle")
+    calls = call_counts(world, "allocate_group", "allocate_register", "_place", "measure_swap",
+                        "discard", "_merge", "_settle")
     assert bank.verify_cheque(world, cheque).accepted
     assert widths == [2] * 8
-    assert calls == {"allocate_group": 16, "_place": 17, "measure_swap": 9, "discard": 40,
-                     "_merge": 0, "_settle": 0}
+    assert calls == {"allocate_group": 0, "allocate_register": 2, "_place": 17, "measure_swap": 9,
+                     "discard": 40, "_merge": 0, "_settle": 0}
     assert products == []
     assert world.qubit_count == 0 and not world._groups
 
@@ -399,6 +402,30 @@ def test_raise_in_the_quantum_phase_still_retires_the_serial():
     assert world.qubit_count == 0
     world.check_partition()
     assert bank.verify_cheque(world, cheque).reason is RejectReason.DOUBLE_SPEND
+
+
+def test_raise_in_an_amount_swap_test_discards_every_target(monkeypatch):
+    # The second of three amount qubits shares a group with three
+    # adversary qubits, so under a ceiling of 4 its swap test needs a
+    # 5-qubit group and raises.  The amount targets were allocated as one
+    # register before the first test, so the exit discards the one under
+    # test and the third, never tested, as well as the first.
+    params = SchemeParams(ghz_triples=3, auth_qubits=2, key_bits=64, serial_bits=64)
+    world = World(seed=7)
+    bank = Bank()
+    book, record = bank.gen_account(world, "alice", params)
+    cheque = sign_cheque(world, book, encode_amount(42))
+    held = cheque.amount_qubits[1]
+    partners = world.allocate_register(Owner.ADVERSARY, [(0.5**0.5, 0.5**0.5)] * 3)
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    for q in partners:
+        world.apply_gate(cnot, [q, held])
+    monkeypatch.setattr(sim, "MAX_GROUP_QUBITS", 4)
+    with pytest.raises(ValueError, match="5-qubit group"):
+        bank.verify_cheque(world, cheque)
+    assert record.destroyed and not record.spent
+    assert world.qubit_count == 3 and all(q in world for q in partners)
+    world.check_partition()
 
 
 def test_cheque_book_signs_once():

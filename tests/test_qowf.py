@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from helpers import flip, state_of
 
-from qcheque.bits import BitString
+from qcheque.bits import BitString, frame_fields
 from qcheque.qowf import (
-    amount_state_amplitudes,
+    amount_register_amplitudes,
     angles_to_amplitudes,
     auth_state_amplitudes,
     derive_angles,
-    prepare_amount_state,
+    prepare_amount_register,
     prepare_auth_state,
 )
 from qcheque.sim import Owner, World
@@ -53,6 +53,24 @@ def test_derive_angles_match_the_chunked_form_bit_for_bit():
         assert derive_angles(data, count) == _chunked_angles(data, count)
 
 
+def _amount_state_per_index(nonce, amount, index):
+    """Amount state `index` derived under its own frame, one field per
+    call: the tag, nonce, amount and 32-bit index, then one qubit."""
+    data = frame_fields(BitString.from_text("amount-state"), nonce, amount, BitString.from_int(index, 32))
+    (theta, phi), = derive_angles(data, 1)
+    return angles_to_amplitudes(theta, phi)
+
+
+def test_amount_register_matches_the_per_index_frame_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for _ in range(500):
+        nonce = BitString.random(rng, int(rng.integers(1, 300)))
+        amount = BitString.from_text(str(int(rng.integers(0, 10**6))))
+        count = int(rng.integers(1, 10))
+        want = [_amount_state_per_index(nonce, amount, i) for i in range(1, count + 1)]
+        assert amount_register_amplitudes(nonce, amount, count) == want
+
+
 def test_auth_state_matches_golden_vector():
     a = GOLDEN["auth"]
     got = auth_state_amplitudes(
@@ -69,11 +87,11 @@ def test_auth_state_matches_golden_vector():
 
 def test_amount_state_matches_golden_vector():
     m = GOLDEN["amount"]
-    g0, g1 = amount_state_amplitudes(
+    g0, g1 = amount_register_amplitudes(
         BitString.from_binary_text(m["nonce_bits"]),
         BitString.from_text(m["amount_text"]),
         m["index"],
-    )
+    )[m["index"] - 1]
     r0, i0, r1, i1 = m["pair"]
     assert g0 == pytest.approx(complex(r0, i0), abs=1e-12)
     assert g1 == pytest.approx(complex(r1, i1), abs=1e-12)
@@ -115,13 +133,15 @@ def test_every_field_changes_the_state():
 def test_amount_states_differ_per_index():
     nonce = BitString.from_int(77, 32)
     amount = BitString.from_text("5")
-    states = {amount_state_amplitudes(nonce, amount, i) for i in range(1, 9)}
+    states = set(amount_register_amplitudes(nonce, amount, 8))
     assert len(states) == 8
 
 
 def test_amount_index_must_be_positive():
-    with pytest.raises(ValueError):
-        amount_state_amplitudes(BitString.from_int(1, 8), BitString.from_text("1"), 0)
+    # a register of count states covers indices 1 to count, each 32 bits
+    for count in (0, -1, 2**32):
+        with pytest.raises(ValueError, match="count"):
+            amount_register_amplitudes(BitString.from_int(1, 8), BitString.from_text("1"), count)
 
 
 def test_domain_tags_separate_the_two_preparations():
@@ -129,7 +149,7 @@ def test_domain_tags_separate_the_two_preparations():
     framed classical fields happen to agree."""
     nonce = BitString.from_int(3, 32)
     amount = BitString.from_text("9")
-    amount_state = amount_state_amplitudes(nonce, amount, 1)
+    amount_state, = amount_register_amplitudes(nonce, amount, 1)
     auth_like = auth_state_amplitudes(nonce, amount, BitString.from_int(1, 32), nonce, 1)
     assert amount_state != auth_like[0]
 
@@ -147,10 +167,11 @@ def test_prepare_allocates_expected_register():
     for q, (a0, a1) in zip(register, want):
         assert abs(np.vdot(state_of(world, [q]), [a0, a1])) == pytest.approx(1.0, abs=1e-12)
 
-    single = prepare_amount_state(world, nonce, amount, 2)
-    a0, a1 = amount_state_amplitudes(nonce, amount, 2)
-    assert abs(np.vdot(state_of(world, [single]), [a0, a1])) == pytest.approx(1.0, abs=1e-12)
-    assert single.owner is Owner.ALICE
+    amounts = prepare_amount_register(world, nonce, amount, 2)
+    assert [q.qid for q in amounts] == [3, 4]
+    for q, (a0, a1) in zip(amounts, amount_register_amplitudes(nonce, amount, 2)):
+        assert abs(np.vdot(state_of(world, [q]), [a0, a1])) == pytest.approx(1.0, abs=1e-12)
+        assert q.owner is Owner.ALICE
 
 
 def test_angle_distribution_is_roughly_uniform_on_sphere():

@@ -113,6 +113,56 @@ def test_refused_allocation_changes_nothing(owners, amps, message):
     assert world.allocate(Owner.ALICE).qid == 1
 
 
+@pytest.mark.parametrize("owner, pairs, message", [
+    # the last row is refused after two good ones
+    (Owner.BANK, [(1, 0), (0.6, 0.8), (2, 0)], "is not 1"),
+    (Owner.BANK, [(1, 0), (np.nan, 0)], "must be finite"),
+    (Owner.BANK, [(1, 0, 0, 0)], "expected 2 amplitudes"),
+    ("carol", [(1, 0)], "not a valid Owner"),
+])
+def test_refused_register_allocates_nothing(owner, pairs, message):
+    world = World(seed=0)
+    world.allocate(Owner.BANK)
+    before = world.to_json()
+    with pytest.raises(ValueError, match=message):
+        world.allocate_register(owner, pairs)
+    assert world.to_json() == before
+    assert world.qubit_count == 1
+    assert world.allocate(Owner.ALICE).qid == 1
+
+
+def _refusal(call):
+    try:
+        return call(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def test_register_matches_one_allocation_per_pair_bit_for_bit():
+    # pairs off unit norm by up to 1e-10 are accepted and divided by
+    # their norm; by 1e-7, refused with the same message
+    rng = np.random.default_rng(17)
+    for trial in range(200):
+        count = int(rng.integers(0, 10))
+        pairs = [tuple(haar_random_qubit(rng) * (1.0 + float(rng.choice([0.0, 1e-10, -1e-10, 1e-7]))))
+                 for _ in range(count)]
+        one_pass, per_pair = World(seed=trial), World(seed=trial)
+        one_pass.allocate(Owner.ALICE)
+        per_pair.allocate(Owner.ALICE)
+        before = one_pass.to_json()
+        handles, error = _refusal(lambda: one_pass.allocate_register(Owner.BANK, pairs))
+        twins, twin_error = _refusal(lambda: [per_pair.allocate(Owner.BANK, p) for p in pairs])
+        assert error == twin_error
+        if error is not None:
+            assert one_pass.to_json() == before
+            continue
+        assert handles == twins
+        for h, t in zip(handles, twins):
+            assert one_pass.group_of(h).qubits == [h]
+            assert one_pass.group_of(h).amps.tobytes() == per_pair.group_of(t).amps.tobytes()
+        assert one_pass.to_json() == per_pair.to_json()
+
+
 def test_partition_invariant_after_mixed_workload():
     world = World(seed=3)
     qs = [world.allocate(Owner.ALICE) for _ in range(4)]

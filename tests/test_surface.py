@@ -9,11 +9,13 @@ that every name still resolves.
 import ast
 import dataclasses
 import importlib.util
+import inspect
 from pathlib import Path
 
 import qcheque
 from qcheque import protocol
 from qcheque.protocol import Bank, SchemeParams, VerifyResult
+from qcheque.sim import World
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,6 +44,19 @@ def test_every_traced_function_resolves_as_the_tracer_looks_it_up():
             assert callable(getattr(module, function, None)), span
         else:
             assert function in getattr(module, owner).__dict__, span
+
+
+def _parameters(fn):
+    return [(p.name, p.kind, p.default is p.empty) for p in inspect.signature(fn).parameters.values()]
+
+
+def test_every_traced_target_reader_binds_as_its_method_does():
+    # the tracer calls each reader with the arguments of the simulator
+    # call, keywords included, so it must take the method's parameters
+    tracer = _load_tracer()
+    assert tracer._SIM_TARGETS
+    for method, targets_of in tracer._SIM_TARGETS.items():
+        assert _parameters(targets_of) == _parameters(World.__dict__[method]), method
 
 
 def test_every_name_perfbench_imports_from_the_package_exists():

@@ -41,7 +41,7 @@ import pytest
 from qcheque import adversary, protocol
 from qcheque.adversary import _ID_BITS, _LIE, AMOUNT_UNITS, run_attack, run_honest
 from qcheque.protocol import Bank, SchemeParams, encode_amount
-from qcheque.qowf import amount_state_amplitudes, auth_state_amplitudes
+from qcheque.qowf import amount_register_amplitudes, auth_state_amplitudes
 from qcheque.sim import PAULI_X, PAULI_Z
 
 
@@ -107,7 +107,7 @@ def test_honest_swap_tests_always_pass(monkeypatch, l, n, seed):
 
 
 def _amount_states(nonce, amount, l):
-    return [np.array(amount_state_amplitudes(nonce, amount, i)) for i in range(1, l + 1)]
+    return [np.array(pair) for pair in amount_register_amplitudes(nonce, amount, l)]
 
 
 def _auth_states(key, nonce, amount, n):
