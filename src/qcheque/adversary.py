@@ -195,8 +195,8 @@ def _swap_pass(held, want) -> float:
     return 0.5 * (1.0 + d * d)
 
 
-def _fresh_session(seed, trial, params):
-    world = World(seed=[seed, trial])
+def _fresh_session(seed, params):
+    world = World(seed=seed)
     bank = Bank()
     book, record = bank.gen_account(world, ACCOUNT_ID, params)
     cheque = sign_cheque(world, book, encode_amount(AMOUNT_UNITS))
@@ -217,7 +217,7 @@ def _drive(strategy, params, trials, seed, play, extras, oracle=None):
         raise ValueError("trials must be positive")
     successes, failures, counts, predicted = 0, Counter(), Counter(), []
     for t in range(trials):
-        result, rate, counters = play(*_fresh_session(seed, t, params))
+        result, rate, counters = play(*_fresh_session([seed, t], params))
         if result.accepted:
             successes += 1
         else:
@@ -247,8 +247,7 @@ def run_honest(params: SchemeParams, trials: int, seed: int) -> AttackStats:
     """Completeness baseline: sign honestly, deposit once, count accepts."""
 
     def play(world, bank, record, cheque):
-        result = bank.verify_cheque(world, cheque)
-        return result, 1.0, {"ledger_spent_count": bank.spent_ledger_check(cheque.serial)}
+        return bank.verify_cheque(world, cheque), 1.0, {}
 
     return _drive("honest", params, trials, seed, play, {})
 
@@ -267,7 +266,7 @@ def run_attack(strategy: str, params: SchemeParams, trials: int, seed: int) -> A
         extras["tampered_units"] = TAMPERED_UNITS
         play = _trial_tamper_amount
     elif strategy == "forge-key-guess":
-        extras.update(tampered_units=TAMPERED_UNITS, key_bits=params.key_bits)
+        extras["tampered_units"] = TAMPERED_UNITS
         play = _trial_forge_key_guess
     elif strategy == "local-tamper":
         play = _trial_local_tamper

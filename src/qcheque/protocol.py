@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 BANK_SNAPSHOT_FORMAT = "qcheque-bank"
-BANK_SNAPSHOT_VERSION = 2
+BANK_SNAPSHOT_VERSION = 3
 
 
 class RejectReason(Enum):
@@ -115,15 +115,12 @@ class SchemeParams:
     key_bits: int = 256
     serial_bits: int = 128
     policy: AcceptancePolicy = field(default_factory=AcceptancePolicy)
-    allow_insecure_key_bits: bool = False
 
     def __post_init__(self) -> None:
         if self.ghz_triples < 1:
             raise ValueError("ghz_triples must be at least 1")
         if self.auth_qubits < 1:
             raise ValueError("auth_qubits must be at least 1")
-        if self.key_bits < 64 and not self.allow_insecure_key_bits:
-            raise ValueError("key_bits below 64 needs allow_insecure_key_bits=True")
         if self.key_bits < 1:
             raise ValueError("key_bits must be positive")
         if self.serial_bits < 64:
@@ -140,7 +137,6 @@ class SchemeParams:
             key_bits=_field(doc, "key_bits", int),
             serial_bits=_field(doc, "serial_bits", int),
             policy=AcceptancePolicy.from_json(doc["policy"]),
-            allow_insecure_key_bits=_field(doc, "allow_insecure_key_bits", bool),
         )
 
 
@@ -496,6 +492,9 @@ class Bank:
             if len(record.bank_qubits) != record.params.ghz_triples:
                 raise ValueError(f"record holds {len(record.bank_qubits)} vault qubits, "
                                  f"scheme expects {record.params.ghz_triples}")
+            for q in record.bank_qubits:
+                if q.owner is not Owner.BANK:
+                    raise ValueError(f"vault qubit {q!r} is not in bank custody")
             if str(record.serial) in bank._records:
                 raise ValueError(f"snapshot lists serial {record.serial} twice")
             bank._records[str(record.serial)] = record

@@ -38,20 +38,21 @@ from qcheque.sim import HADAMARD, Owner, World, haar_random_qubit
 from qcheque.stats import within_sigma
 
 SMALL = SchemeParams(ghz_triples=2, auth_qubits=2, key_bits=64, serial_bits=64)
-FORGE = SchemeParams(ghz_triples=2, auth_qubits=2, key_bits=8,
-                     serial_bits=64, allow_insecure_key_bits=True)
+FORGE = SchemeParams(ghz_triples=2, auth_qubits=2, key_bits=8, serial_bits=64)
 
 # sha256 of json.dumps(stats.to_json(), sort_keys=True) for 15 trials at
 # seed 7.  Recorded before the strategies shared one trial loop, so any
 # change to a drawn sample, a verdict, a predicted rate or an extra shows.
 # clone-double-spend was re-pinned when its oracle became closed-form:
-# only its predicted rates moved, in the last digit.
+# only its predicted rates moved, in the last digit.  honest and
+# forge-key-guess were re-pinned when their extras dropped the two
+# counts that repeat other fields (ledger_spent_count, key_bits).
 PINNED_DIGESTS = {
-    "honest": "de2fd1031cfe1a34fab433e0cb4a118bbd76c5e1f85a5f75ddee86d9d9501db3",
+    "honest": "cfb4cc9022f49dfc82697c2708a0cb72139126a23b0a5945643bc82101f6e17a",
     "replay": "34da0df7a3273b063749caa5127a0dcfc22d30549735e3b1f22fc3134639c8d8",
     "clone-double-spend": "70e09ebecb477be202c484ea5754abbf3418b06b31c17230dfb98ffdbdb8e1bd",
     "tamper-amount": "a8365b9b870ec89d9573acd162c9fd97cea330a7d4f340a70237e9d31e200ac7",
-    "forge-key-guess": "da69daa823686fc4f2905672c6b771dbc1b547096dd3e7821c686502a55b15b5",
+    "forge-key-guess": "f3f484f138f1f1e1ec3a6fcaf05d1ddc59536bb32a825755d695f6197d988723",
     "local-tamper": "d78db6dfb1f4d1700f8c8db7d994ab91ae1e0b9c31fb0345865cc15a7444be52",
 }
 
@@ -248,7 +249,6 @@ def test_honest_runs_always_accept():
     assert stats.successes == 50
     assert stats.empirical_rate == 1.0
     assert stats.analytic_rate == 1.0
-    assert stats.extras["ledger_spent_count"] == 50
 
 
 def test_replay_never_succeeds():
@@ -363,7 +363,6 @@ def test_tamper_amount_matches_analytics():
 def test_forge_key_guess_reports_oracle_rate():
     stats = run_attack("forge-key-guess", FORGE, trials=400, seed=104)
     assert within_sigma(stats.empirical_rate, stats.analytic_rate, stats.analytic_sigma)
-    assert stats.extras["key_bits"] == 8
     assert stats.extras["key_guess_hits"] >= 0
 
 
@@ -402,7 +401,7 @@ def test_fixed_seed_stats_are_pinned(strategy):
 
 @pytest.mark.parametrize("seed, deposit", sorted(PINNED_CLONE_WORLDS))
 def test_clone_world_after_a_deposit_is_pinned(seed, deposit):
-    world, bank, record, cheque = _fresh_session(seed, 0, SMALL)
+    world, bank, record, cheque = _fresh_session([seed, 0], SMALL)
     if deposit == "trial":
         _trial_clone_double_spend(world, bank, record, cheque)
     else:

@@ -23,19 +23,21 @@ FAST = ["--l", "2", "--n", "2", "--key-bits", "64", "--serial-bits", "64"]
 # kernel in the simulator.  Any change to a drawn sample, a verdict or a
 # stored amplitude shows here.  clone-double-spend was re-pinned when its
 # oracle became closed-form: only its predicted rates moved, in the last
-# digit.
+# digit.  All were re-pinned for report v2 (scenario v2, bank v3), which
+# drops the fields that repeat another and SchemeParams' short-key flag:
+# each document lost only those fields and changed its version.
 PINNED_OUTPUT_DIGESTS = {
-    "run-honest": "1b0039c9e4082e6fcfa37094ad0af8efc75fc97b797f04fa451ff2ae119b01b8",
-    "replay": "4ba919edc05d37b27f69e75110dc7ad351323fb627bade75aa8e0f01f7148042",
-    "clone-double-spend": "5422da49cb3f1d17c204f95f8c455cae7e9dc0e30fafceb243bcca078a40ab2f",
-    "tamper-amount": "cf9aa783254cc58e2543871d8e34e36b41da7efc27fafaaf79f5a4a1dd7bcf32",
-    "forge-key-guess": "4d3b14e0933ade932abf28a79e592d8a32bf6ebcc293ce2daeb7eb2091878f70",
-    "local-tamper": "b3df6e0a1a232a2cc41934964e857ea0b683984595d66ef7c597effa3ae14474",
-    "snapshot": "7c549f43cfec61e16cee7e0356f1e10bca7c5fa0dc53db32a12b879fbbd92b62",
-    "snapshot l=8 n=8": "cc233597bf67f60c8ba920390d42efea9427201144d64c228900881acfa2e3c1",
-    "run-honest l=8 n=8": "7be98e69ecc84b27bcd230b3d8f52e396287c6e481e2c745dd4b62ab1f504370",
-    "clone-double-spend l=8 n=3": "1952152a125255533167d331f8a635166d130be8839542534d8989a098b0995d",
-    "clone-double-spend l=2 n=6": "b7ad5d90d1df1264f3257849cb03d7f2ba4110faafb8b901035d038e773d9213",
+    "run-honest": "11dfa708055b9c0d568b8f74661256d362ea91c9d855d61fadac8010edf0c66a",
+    "replay": "a8a2f114254f22deb65c5e5559a50b7901e131af7660b4a8b3106249fc06fbc4",
+    "clone-double-spend": "32d3e5b756ec6d80345a8b28ff6c958b2c194a3e292d74d699d5fe21c6c6a7e2",
+    "tamper-amount": "fd32db92effe568de7634582ea9329806c73edc995661d600830e566bcc9edb2",
+    "forge-key-guess": "9215c0a1d56cc4d5fbe7d1cd143295348e3e7747b2ad94eb644829e41b5970ff",
+    "local-tamper": "e7fcc6ff4de0ebf125b1697fe44f94d071cd0e7caa115dcff9ba27728163a022",
+    "snapshot": "7d02f3647843fa5b48c089a010cf8723d2558bfe56b9ffd373553fe55e15fa40",
+    "snapshot l=8 n=8": "64291b1d5a970e45f3756ecc02f37290678374cd0259595dcf2f063a83b7f796",
+    "run-honest l=8 n=8": "897f9a7b1eadd9e61102a19adea90c9674fe161db42f9e4353f13c2e4cce5258",
+    "clone-double-spend l=8 n=3": "7d027d52bb290cfb22e563205d01cfb1b1ad1cf59c3e135ccdbc4584fa667dbb",
+    "clone-double-spend l=2 n=6": "28ac7752d9f8c8119f311316fbccb36cd76fed92fe327c8b31b0f83108f4e0fb",
 }
 # The pins at the benchmark's widths, each as its command and sizes: an
 # honest deposit's 8-pair authentication test, the entangled blocks of a
@@ -82,11 +84,35 @@ def test_run_honest_report():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["format"] == "qcheque-report"
-    assert doc["status"] == "PASS"
     assert doc["within_4_sigma"] is True
     assert doc["stats"]["successes"] == 20
-    assert doc["config"]["trials"] == 20
+    assert doc["stats"]["trials"] == 20
     assert "elapsed" in proc.stderr
+
+
+# Each fact sits in one field: the verdict in within_4_sigma, the trial
+# count and strategy in stats, and config is the scenario file's
+# {params, seed}.
+@pytest.mark.parametrize("command", [["run-honest"], ["attack", "--strategy", "forge-key-guess"]])
+def test_run_report_v2_fields(command):
+    proc = run_cli(*command, *FAST, "--trials", "3", "--seed", "5")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["version"] == 2
+    assert set(doc) == {"format", "version", "library_version", "command", "config",
+                        "stats", "within_4_sigma"}
+    assert set(doc["config"]) == {"params", "seed"}
+    assert set(doc["config"]["params"]) == {"ghz_triples", "auth_qubits", "key_bits",
+                                            "serial_bits", "policy"}
+    assert set(doc["stats"]) == {"strategy", "trials", "successes", "failure_histogram",
+                                 "empirical_rate", "wilson_95", "analytic_rate",
+                                 "analytic_sigma", "extras"}
+    if command == ["run-honest"]:
+        assert doc["stats"]["strategy"] == "honest"
+        assert set(doc["stats"]["extras"]) == {"amount_units"}
+    else:
+        assert doc["stats"]["strategy"] == "forge-key-guess"
+        assert set(doc["stats"]["extras"]) == {"amount_units", "tampered_units", "key_guess_hits"}
 
 
 def test_reports_are_byte_identical_across_runs():
@@ -262,13 +288,22 @@ def _signature_bits_below_minimum(doc):
     doc["bank"]["signature_bits"] = 7
 
 
+# Files from before report v2 carry a params field that is gone.
+def _scenario_version_1(doc):
+    doc["version"] = 1
+
+
+def _bank_version_2(doc):
+    doc["bank"]["version"] = 2
+
+
+# A key the params loader does not read is refused, not dropped.
+def _unknown_params_key(doc):
+    doc["bank"]["records"][0]["params"]["min_key_bits"] = 64
+
+
 # Fields of the wrong JSON type are refused, not coerced: bool("false") is
 # True and int(2.9) is 2, so coercion would restore a bank that never was.
-def _insecure_flag_as_text(doc):
-    params = doc["bank"]["records"][0]["params"]
-    params["allow_insecure_key_bits"], params["key_bits"] = "false", 8
-
-
 def _fractional_triple_count(doc):
     doc["bank"]["records"][0]["params"]["ghz_triples"] = 2.9
 
@@ -341,7 +376,8 @@ def _infinite_payload_value(doc):
 @pytest.mark.parametrize(
     "corrupt",
     [_rng_as_list, _negative_rng_counter, _public_key_as_list, _no_config,
-     _signature_bits_below_minimum, _insecure_flag_as_text, _fractional_triple_count,
+     _signature_bits_below_minimum, _scenario_version_1, _bank_version_2,
+     _unknown_params_key, _fractional_triple_count,
      _spent_flag_as_text, _short_preimages, _kappa2_as_bool, _fractional_cheque_qubit_id,
      _cheque_qubit_id_as_text, _fractional_vault_qubit_id, _fractional_transcript_seq,
      _session_counter_below_transcript,
@@ -454,6 +490,14 @@ def _vault_cut_to_one_qubit(doc):
     del doc["bank"]["records"][0]["bank_qubits"][1:]
 
 
+def _vault_relabelled_as_alice(doc):
+    vault = {qid for qid, _ in doc["bank"]["records"][0]["bank_qubits"]}
+    for pair in doc["bank"]["records"][0]["bank_qubits"] + [
+            q for g in doc["world"]["groups"] for q in g["qubits"]]:
+        if pair[0] in vault:
+            pair[1] = "alice"
+
+
 def _serial_listed_twice(doc):
     records = doc["bank"]["records"]
     records.append(json.loads(json.dumps(records[0])))
@@ -465,16 +509,19 @@ def _no_groups_and_negative_next_qid(doc):
 
 # Scenarios that restored whole and left a deposit that could not end
 # cleanly: an int account id raised past retirement, a cut vault accepted
-# and left its unlisted qubit live, a repeated serial dropped a record and
-# a negative next_qid made a world whose own save does not load.
+# and left its unlisted qubit live, a vault relabelled as alice's let a
+# cheque name it and pass admission's bank-custody check, a repeated
+# serial dropped a record and a negative next_qid made a world whose own
+# save does not load.
 @pytest.mark.parametrize(
     "corrupt, message",
     [(_account_id_as_int, "account_id must be str, got 7"),
      (_vault_cut_to_one_qubit, "record holds 1 vault qubits, scheme expects 2"),
+     (_vault_relabelled_as_alice, "is not in bank custody"),
      (_serial_listed_twice, "twice"),
      (_no_groups_and_negative_next_qid, "next_qid -3 is negative")],
-    ids=["_account_id_as_int", "_vault_cut_to_one_qubit", "_serial_listed_twice",
-         "_no_groups_and_negative_next_qid"],
+    ids=["_account_id_as_int", "_vault_cut_to_one_qubit", "_vault_relabelled_as_alice",
+         "_serial_listed_twice", "_no_groups_and_negative_next_qid"],
 )
 def test_snapshot_a_deposit_cannot_end_is_a_file_error(corrupt, message, tmp_path):
     scenario = tmp_path / "scenario.json"

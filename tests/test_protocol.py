@@ -73,7 +73,7 @@ def test_policy_json_round_trip():
     [
         {"ghz_triples": 0},
         {"auth_qubits": 0},
-        {"key_bits": 32},
+        {"key_bits": 0},
         {"serial_bits": 32},
     ],
 )
@@ -82,11 +82,11 @@ def test_params_validation(kwargs):
         SchemeParams(**kwargs)
 
 
-def test_short_keys_need_explicit_opt_in():
-    params = SchemeParams(key_bits=8, allow_insecure_key_bits=True)
-    assert params.key_bits == 8
-    with pytest.raises(ValueError):
-        SchemeParams(key_bits=0, allow_insecure_key_bits=True)
+def test_short_keys_are_accepted_and_zero_is_refused():
+    assert SchemeParams(key_bits=1).key_bits == 1
+    assert SchemeParams(key_bits=8).key_bits == 8
+    with pytest.raises(ValueError, match="key_bits must be positive"):
+        SchemeParams(key_bits=0)
 
 
 def test_params_json_round_trip():
@@ -556,6 +556,9 @@ def test_bank_snapshot_format_checks():
     # version 1 snapshots carried the retired kappa1 policy field
     with pytest.raises(ValueError):
         Bank.from_json({**doc, "version": 1})
+    # version 2 snapshots carried the retired short-key opt-in flag
+    with pytest.raises(ValueError):
+        Bank.from_json({**doc, "version": 2})
     with pytest.raises(ValueError):
         Bank.from_json({**doc, "signature_scheme": "other-v0"})
 
