@@ -13,7 +13,10 @@ One target reaches its group through ``group_of``; several go through
 one resolver that checks they are distinct and merges their groups.  A
 gate on k targets moves their axes to the front of the group tensor with
 one transpose, applies its 2^k matrix as one product and transposes
-back (targets that already lead in order skip both); a merge joins every
+back (targets that already lead in order skip both).  That product, and
+``reduced_density``'s, is followed by one small numpy call that clears the
+upper vector state OpenBLAS's AVX-512 gemm leaves dirty, which would slow
+the code after it, the bank's hashing included.  A merge joins every
 group an operation spans in one balanced product of their amplitude
 vectors.  Each distinct gate matrix is checked for unitarity once and
 kept read-only in a bounded memo.
@@ -297,6 +300,19 @@ def _validated_gate(shape: tuple, raw: bytes) -> np.ndarray:
     return gate
 
 
+_CLEAR = np.zeros(4, dtype=complex)  # `_cleared`'s operand, never written
+
+
+def _cleared(product: np.ndarray) -> np.ndarray:
+    """`product`, just made by a BLAS level-3 call, after one small complex
+    ufunc, whose loop ends with VZEROUPPER: OpenBLAS's AVX-512 zgemm leaves
+    the upper vector state dirty, slowing the SSE code after it.  A batched
+    matmul or an elementwise sum leaves it clean, but differs from zgemm in
+    the sign of exact zeros and in rounding."""
+    np.multiply(_CLEAR, _CLEAR)
+    return product
+
+
 def _product(vectors: list[np.ndarray]) -> np.ndarray:
     """The tensor product of `vectors` in order, as a balanced tree of outer
     products of neighbours: n singletons take a few wide products, not
@@ -494,11 +510,11 @@ class World:
         n = len(group.qubits)
         front = _front(positions, n)
         if front is None:  # the targets lead: no transpose either way
-            group.amps = (gate @ group.amps.reshape(gate.shape[1], -1)).reshape(-1)
+            group.amps = _cleared(gate @ group.amps.reshape(gate.shape[1], -1)).reshape(-1)
             return
         perm, inverse = front
         psi = group.amps.reshape((2,) * n).transpose(perm).reshape(gate.shape[1], -1)
-        group.amps = (gate @ psi).reshape((2,) * n).transpose(inverse).reshape(-1)
+        group.amps = _cleared(gate @ psi).reshape((2,) * n).transpose(inverse).reshape(-1)
 
     # ------------------------------------------------------------------
     # measurement
@@ -719,7 +735,7 @@ class World:
         if front is not None:
             psi = psi.reshape((2,) * len(joined)).transpose(front[0])
         rows = psi.reshape(2 ** len(subset), -1)
-        return np.dot(rows, rows.conj().T)  # matmul rounds some shapes differently
+        return _cleared(np.dot(rows, rows.conj().T))  # matmul rounds some shapes differently
 
     def _groups_for(self, handles) -> list[StateGroup]:
         """The settled groups of `handles`, each once, in first-use order;

@@ -2,7 +2,11 @@ import copy
 import functools
 import itertools
 import json
+import os
+import platform
 import statistics
+import subprocess
+import sys
 import threading
 import time
 
@@ -19,6 +23,7 @@ from helpers import (
 )
 
 from qcheque import sim
+from qcheque.adversary import _COPY
 from qcheque.sim import (
     _BELL_BASIS,
     _X_BASIS,
@@ -28,6 +33,7 @@ from qcheque.sim import (
     HADAMARD,
     ID2,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     BellOutcome,
     HadamardOutcome,
@@ -1401,3 +1407,159 @@ def test_leading_targets_skip_the_transpose_bit_for_bit(kind, monkeypatch):
         live = [q for q in qs if q in world]
         assert _amps_bytes(world, live) == _amps_bytes(forced, live)
         assert world.to_json() == forced.to_json()
+
+
+# ----------------------------------------------------------------------
+# BLAS products: bare arithmetic, and a clean vector unit after each
+# ----------------------------------------------------------------------
+
+
+def _bare_apply(amps, gate, positions):
+    """The gate as one bare `gate @ psi` between the transposes that bring
+    the targets to the front and take them back."""
+    n = amps.size.bit_length() - 1
+    order = list(positions) + [i for i in range(n) if i not in positions]
+    psi = amps.reshape((2,) * n).transpose(order).reshape(gate.shape[1], -1)
+    return (gate @ psi).reshape((2,) * n).transpose(np.argsort(order)).reshape(-1)
+
+
+def _differential_starts(rng, n):
+    """A random state, and the GHZ state, whose exact zeros carry a sign."""
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    ghz = np.zeros(2**n, dtype=complex)
+    ghz[[0, -1]] = 1 / SQRT2
+    return amps / np.linalg.norm(amps), ghz
+
+
+def test_gates_match_the_bare_product_bit_for_bit():
+    # every target position and order on groups of 1-6 qubits: whatever
+    # follows each product touches no amplitude bit
+    rng = np.random.default_rng(28)
+    gates = {
+        1: [ID2, PAULI_X, PAULI_Y, PAULI_Z, HADAMARD, haar_random_unitary(rng, 2)],
+        2: [haar_random_unitary(rng, 4)],
+        3: [_COPY, FREDKIN, haar_random_unitary(rng, 8)],
+    }
+    for n in range(1, 7):
+        for start in _differential_starts(rng, n):
+            world = World(seed=n)
+            qs = world.allocate_group([Owner.ALICE] * n, start)
+            doc = world.to_json()
+            for k in range(1, min(n, 3) + 1):
+                for positions, gate in itertools.product(itertools.permutations(range(n), k), gates[k]):
+                    gated, twin = World.from_json(doc), World.from_json(doc)
+                    gated.apply_gate(gate, [qs[i] for i in positions])
+                    group = twin.group_of(qs[0])
+                    group.amps = _bare_apply(group.amps, gate, positions)
+                    assert gated.group_of(qs[0]).amps.tobytes() == group.amps.tobytes()
+                    assert gated.to_json() == twin.to_json()
+
+
+def test_reduced_density_matches_the_bare_product_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for n in range(1, 7):
+        for start in _differential_starts(rng, n):
+            world = World(seed=n)
+            qs = world.allocate_group([Owner.ALICE] * n, start)
+            amps = world.group_of(qs[0]).amps
+            for k in range(1, min(n, 3) + 1):
+                for subset in itertools.permutations(range(n), k):
+                    order = list(subset) + [i for i in range(n) if i not in subset]
+                    rows = amps.reshape((2,) * n).transpose(order).reshape(2**k, -1)
+                    got = world.reduced_density([qs[i] for i in subset])
+                    assert got.tobytes() == np.dot(rows, rows.conj().T).tobytes()
+
+
+_PROBE_CHUNKS = [bytes([i]) * 32 for i in range(256)]
+
+
+def _probe() -> float:
+    """Seconds for 256 `bytes + bytes`, whose memcpy is SSE-encoded code."""
+    start = time.perf_counter()
+    for chunk in _PROBE_CHUNKS:
+        chunk + chunk
+    return time.perf_counter() - start
+
+
+# the sim calls that run a complex gemm, as named by `_vector_unit_cases`
+_GEMM_CALLS = ("apply_gate lead", "apply_gate other", "reduced_density")
+
+
+def _vector_unit_cases():
+    """(name, operation) for a reference that leaves the vector unit clean,
+    a bare complex gemm, and each of `_GEMM_CALLS`."""
+    world = World(seed=28)
+    lead, other = world.allocate_group([Owner.ALICE] * 2, [1 / SQRT2, 0, 0, 1 / SQRT2])
+    clear = np.zeros(4, dtype=complex)
+    return [
+        ("clean", lambda: np.multiply(clear, clear)),
+        ("bare", lambda: PAULI_X @ PAULI_Z),
+        ("apply_gate lead", lambda: world.apply_gate(PAULI_X, [lead])),
+        ("apply_gate other", lambda: world.apply_gate(PAULI_X, [other])),
+        ("reduced_density", lambda: world.reduced_density([other, lead])),
+    ]
+
+
+def test_blas_products_leave_the_probe_fast():
+    # a dirty upper vector state slows SSE code on cores that pay the
+    # AVX-SSE transition; interleaved medians compare each case's probe
+    # with the probe after the clean reference
+    cases = _vector_unit_cases()
+    times = {name: [] for name, _ in cases}
+    for _ in range(150):
+        for name, operation in cases:
+            operation()
+            times[name].append(_probe())
+    clean = statistics.median(times["clean"])
+    ratio = {name: statistics.median(seconds) / clean for name, seconds in times.items()}
+    if ratio["bare"] < 2.0:
+        pytest.skip(f"a bare complex product slows the probe {ratio['bare']:.2f}x here")
+    for name in _GEMM_CALLS:
+        assert ratio[name] < 1.3, (name, ratio)
+
+
+# Reads XINUSE (XGETBV with ECX=1) after each case of `_vector_unit_cases`
+# and prints which left the upper halves of ymm0-15 (bit 2) or zmm0-15
+# (bit 6) in use.  The reader is five instructions: mov ecx, 1; xgetbv;
+# shl rdx, 32; or rax, rdx; ret.  It runs in a child process, so a machine
+# that faults on the instruction skips the test and ends no session.
+_XINUSE_SCRIPT = """
+import ctypes, json, mmap
+import test_sim
+try:
+    page = mmap.mmap(-1, mmap.PAGESIZE, prot=mmap.PROT_READ | mmap.PROT_WRITE | mmap.PROT_EXEC)
+except OSError as exc:
+    raise SystemExit(json.dumps({"unavailable": str(exc)}))
+page.write(bytes.fromhex("b901000000" "0f01d0" "48c1e220" "4809d0" "c3"))
+xinuse = ctypes.CFUNCTYPE(ctypes.c_uint64)(ctypes.addressof(ctypes.c_char.from_buffer(page)))
+cases = test_sim._vector_unit_cases()
+dirty = {}
+for name, operation in cases:
+    cases[0][1]()
+    operation()
+    dirty[name] = bool(xinuse() & 0x44)
+print(json.dumps(dirty))
+"""
+
+
+def test_blas_products_leave_the_upper_vector_state_clean():
+    try:
+        with open("/proc/cpuinfo") as cpuinfo:
+            flags = cpuinfo.read().split()
+    except OSError:
+        flags = []
+    if platform.machine() != "x86_64" or "xgetbv1" not in flags:
+        pytest.skip("XGETBV with ECX=1 is not available here")
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sim.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([here, src]))
+    child = subprocess.run([sys.executable, "-c", _XINUSE_SCRIPT], env=env,
+                           capture_output=True, text=True, timeout=120)
+    if child.returncode < 0 or "unavailable" in child.stderr:
+        pytest.skip(f"the XINUSE reader cannot run here: {child.returncode} {child.stderr.strip()}")
+    assert child.returncode == 0, child.stderr
+    dirty = json.loads(child.stdout)
+    assert not dirty["clean"]
+    if not dirty["bare"]:
+        pytest.skip("a bare complex product leaves the upper vector state clean here")
+    assert not any(dirty[name] for name in _GEMM_CALLS), dirty
