@@ -28,7 +28,7 @@ from .qowf import prepare_amount_register
 from .sim import Owner, World, _document, haar_random_qubit
 from .stats import within_sigma
 from .swaptest import swap_test
-from .teleport import encode_qubit, prepare_ghz, recover_qubit
+from .teleport import encode_qubit, prepare_ghz, recover_register
 
 __all__ = ["main", "build_parser"]
 
@@ -202,8 +202,7 @@ def _check_teleport_roundtrip() -> None:
     nonce = amount  # any bits will do for a smoke check
     payload, = prepare_amount_register(world, nonce, amount, 1)
     encode_qubit(world, payload, triple)
-    recover_qubit(world, triple.bank_qubit, triple.cheque_qubit)
-    world.discard(triple.bank_qubit)
+    recover_register(world, [triple.bank_qubit], [triple.cheque_qubit])
     target, = prepare_amount_register(world, nonce, amount, 1)
     if not swap_test(world, [triple.cheque_qubit], [target]):
         raise AssertionError("recovered state failed its swap test")

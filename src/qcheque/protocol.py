@@ -40,7 +40,7 @@ from .qowf import prepare_amount_register, prepare_auth_state
 from .signatures import PREIMAGE_BITS, LamportSecretKey, LamportSignatureScheme
 from .sim import Owner, QubitHandle, World, _document, _field, _handle, _handle_pair
 from .swaptest import swap_test
-from .teleport import GhzTriple, encode_qubit, prepare_ghz, recover_qubit
+from .teleport import GhzTriple, encode_qubit, prepare_ghz, recover_register
 
 __all__ = [
     "AcceptancePolicy",
@@ -323,10 +323,12 @@ class Bank:
         `_admit` runs every classical check before any qubit is touched,
         so a replayed serial is refused without consuming bank-side
         entanglement.  Everything after the lookup sits in one
-        `try/finally`, whose exit walks one list of what it destroys: the
-        submitted registers (never a handle in bank custody), the vault
-        of a known serial, and the bank's own swap-test targets.  It then
-        retires that serial.  It runs on every return and every raise.
+        `try/finally`, whose exit discards, in one call, the live handles
+        of one list of what it destroys: the submitted registers (never a
+        handle in bank custody), the vault of a known serial, and the
+        bank's own swap-test targets.  It then retires that serial.  It
+        runs on every return and every raise, a recovery that meets a
+        corrupt state included.
         """
         log = self._session()
         log("branch", "main", "verify-request",
@@ -339,9 +341,10 @@ class Bank:
         submitted = [q for qubits in (cheque.amount_qubits, cheque.auth_qubits)
                      if isinstance(qubits, (tuple, list)) for q in qubits
                      if type(q) is QubitHandle and type(q.qid) is int and type(q.owner) is Owner]
-        # what the exit discards, in order: these outside bank custody, the vault, swap-test targets
+        # what the exit discards, in order and each once: these outside bank custody, the vault,
+        # swap-test targets
         bank = Owner.BANK  # a local: an enum member lookup costs more than the test
-        doomed = [q for q in submitted if q.owner is not bank]
+        doomed = [q for q in dict.fromkeys(submitted) if q.owner is not bank]
         if record is not None:
             doomed += record.bank_qubits
         try:
@@ -350,10 +353,9 @@ class Bank:
                 return VerifyResult(False, reason)
 
             # quantum phase: recover each amount state onto its cheque qubit
-            for i, (bank_q, cheque_q) in enumerate(zip(record.bank_qubits, cheque.amount_qubits), start=1):
-                outcome = recover_qubit(world, bank_q, cheque_q)
+            outcomes = recover_register(world, record.bank_qubits, cheque.amount_qubits)
+            for i, outcome in enumerate(outcomes, start=1):
                 log("main", "branch", "recovery-outcome", {"index": i, "outcome": outcome.value})
-                world.discard(bank_q)
 
             params = record.params
             targets = prepare_amount_register(world, cheque.nonce, cheque.amount,
@@ -370,8 +372,7 @@ class Bank:
             )
             doomed += auth_target
             auth_passed = swap_test(world, list(cheque.auth_qubits), auth_target)
-            for q in auth_target:
-                world.discard(q)
+            world.discard_register(auth_target)
 
             amount_ok = params.policy.decide(amount_passes)
             accepted = amount_ok and auth_passed
@@ -385,9 +386,7 @@ class Bank:
             record.spent = accepted  # admitted, so it was unspent
             return VerifyResult(accepted, reason, tuple(amount_passes), auth_passed)
         finally:
-            for q in doomed:
-                if q in world:
-                    world.discard(q)
+            world.discard_register([q for q in doomed if q in world])
             if record is not None:
                 record.destroyed = True
 

@@ -31,6 +31,19 @@ registers onto the symmetric or antisymmetric part of their joint state
 under exchange, an axis permutation of the group tensor, and keeps both
 registers live.
 
+Registers have kernels of their own, one call each.  The norms of a
+register being allocated come from one stacked product.
+``measure_hadamard_register`` X-measures a register and retires it:
+qubit by qubit, in order, it measures, applies a correction to the
+qubit's partner on a minus outcome, and retires the qubit, with every
+uniform drawn in one call up front, two a qubit (the measurement's, then
+the retirement's, as ``measure_hadamard`` and ``discard`` would draw
+them).  A qubit whose group is it and its partner alone, nothing
+pending, is decided in closed form with every such pair in one pass; any
+other goes through ``_collapse``.  ``discard_register`` discards several
+qubits with their uniforms drawn in one call.  Each gives the amplitudes
+and the PRNG stream of the one-qubit calls it replaces, bit for bit.
+
 Work that nothing may observe yet is deferred until a group is next
 used.  ``discard`` retires a qubit at once but defers its collapse, by
 the principle of implicit measurement: a qubit that is never used again
@@ -210,6 +223,9 @@ def _basis(states) -> tuple:
 _Z_BASIS = _basis([(0, np.array([1.0, 0.0])), (1, np.array([0.0, 1.0]))])
 _X_BASIS = _basis([(HadamardOutcome.PLUS, HADAMARD[0].real), (HadamardOutcome.MINUS, HADAMARD[1].real)])
 _BELL_BASIS = _basis((label, state.real) for label, state in BELL_STATES.items())
+# each X-basis branch as (label, coefficient of the measured qubit's 0, of its 1):
+# the same complex values `_collapse` scales by
+_X_BRANCHES = tuple((label, complex(zero[1]), complex(one[1])) for label, _, (zero, one) in _X_BASIS)
 
 _NORM_TOL = 1e-9
 _UNITARY_TOL = 1e-9
@@ -266,6 +282,15 @@ def _check_state_vector(vec: np.ndarray, dim: int) -> np.float64:
             raise ValueError("amplitudes must be finite")
         raise ValueError(f"state vector norm {np.float64(norm)!r} is not 1")
     return np.float64(norm)
+
+
+def _squared_norms(rows: np.ndarray) -> list[float]:
+    """<r|r> of each row of a 2-d complex array, as Python floats, from one
+    stacked product: per row, bit for bit, `np.vdot(r, r).real` and the
+    sum `_check_state_vector` takes.  The product leaves the upper vector
+    state clean.  An infinite amplitude makes numpy warn of the invalid
+    value it produces; its row's square is then inf or NaN."""
+    return np.matmul(rows.conj()[:, None, :], rows[:, :, None]).real.ravel().tolist()
 
 
 def _as_state_vector(amplitudes, dim: int) -> np.ndarray:
@@ -386,15 +411,22 @@ class World:
     def allocate_register(self, owner: Owner, amplitude_pairs) -> list[QubitHandle]:
         """Add independent qubits, one group each, from (amp0, amp1) pairs,
         in one pass: each row of one array is checked and normalised as
-        `allocate` does it, and a refused row allocates nothing."""
+        `allocate` does it, and a refused row allocates nothing.
+
+        Every row's norm comes from one stacked product, `_squared_norms`,
+        bit for bit the norm `_check_state_vector` takes; that check runs
+        row by row only when some row fails, to raise with its message."""
         owner = owner if type(owner) is Owner else Owner(owner)
         # one flat row per pair, as `allocate` flattens its amplitudes; no pairs, (0, 0)
         rows = np.array(amplitude_pairs, dtype=complex)
         rows = rows.reshape(len(rows), rows.size // max(len(rows), 1))
-        for row in rows:
-            norm = _check_state_vector(row, 2)
+        norms = list(map(math.sqrt, _squared_norms(rows)))
+        if rows.shape[1] != 2 or not all(abs(norm - 1.0) <= _NORM_TOL for norm in norms):
+            for row in rows:
+                _check_state_vector(row, 2)
+        for i, norm in enumerate(norms):
             if norm != 1.0:
-                row /= norm
+                rows[i] /= norm
         handles = [QubitHandle(qid, owner) for qid in range(self._next_qid, self._next_qid + len(rows))]
         self._next_qid += len(rows)
         for h, row in zip(handles, rows):
@@ -529,6 +561,79 @@ class World:
         """Projective X-basis measurement; the qubit is left in |+> or |->."""
         return self._measure([q], _X_BASIS, retire=False)
 
+    def measure_hadamard_register(self, register, partners, correction) -> list[HadamardOutcome]:
+        """X-measure each qubit of `register`, in order, and retire it; after
+        a minus outcome apply the one-qubit unitary `correction` to the qubit
+        of `partners` at the same place, through `apply_gate`, before the
+        next qubit is measured.  Returns the outcomes in order.
+
+        The handles must be live and distinct and the two sequences equal
+        in length, and `correction` a 2x2 unitary; all of that is checked
+        before anything is drawn.  Then two uniforms per qubit are drawn in
+        one call, in the order `measure_hadamard` and then `discard` of
+        each qubit in turn would draw them: the first picks the outcome,
+        the second is the retirement's, which no arithmetic reads.
+
+        A qubit whose group holds it and its partner and nothing pending,
+        as every vault qubit of an honest deposit does, is decided in one
+        pass over all such pairs: both branches of each are Python complex
+        sums of its four amplitudes, one `_squared_norms` product gives
+        every branch's probability, and the kept branch is scaled as
+        `_collapse` scales it, so the amplitudes are the same bit for bit.
+        Any other qubit goes through `group_of` and `_collapse`.
+
+        A zero branch at place i raises RuntimeError once every uniform is
+        drawn: the qubits before i are measured, corrected and retired;
+        the qubit at i and those after it are live and unchanged.
+        """
+        register, partners = list(register), list(partners)
+        if len(register) != len(partners):
+            raise ValueError("register and partners differ in length")
+        index = self._index
+        (plus, p0, p1), (minus, m0, m1) = _X_BRANCHES
+        # each pair group's branches, four amplitudes a pair, read before anything changes
+        groups, branches = [], []
+        for q, partner in zip(register, partners):
+            for h in (q, partner):
+                if h not in index:
+                    raise ValueError(f"unknown or retired qubit handle {h!r}")
+            group = index[q]
+            if (len(group.qubits) == 2 and partner in group.qubits
+                    and not group.pending and group.projection is None):
+                a0, a1, a2, a3 = group.amps.tolist()
+                # the partner's amplitudes with q at 0 and at 1
+                (x0, x1), (y0, y1) = ((a0, a1), (a2, a3)) if group.qubits[0] == q else ((a0, a2), (a1, a3))
+                branches += (p0 * x0 + p1 * y0, p0 * x1 + p1 * y1, m0 * x0 + m1 * y0, m0 * x1 + m1 * y1)
+            else:
+                group = None
+            groups.append(group)
+        if len(set(register + partners)) != 2 * len(register):
+            raise ValueError("register and partners overlap or repeat a handle")
+        if _check_unitary(correction).shape != (2, 2):
+            raise ValueError("correction must be a one-qubit gate")
+        uniforms = self.rng.random(2 * len(register)).tolist()
+        if branches:
+            # `_collapse`'s `np.vdot(k, k).real` of every branch k, bit for bit
+            probabilities = _squared_norms(np.array(branches).reshape(-1, 2))
+        outcomes, row = [], 0  # rows `row` and `row + 1` are the next pair group's plus and minus branches
+        for q, partner, group, u in zip(register, partners, groups, uniforms[::2]):
+            if group is None:
+                label, _ = self._collapse(self.group_of(q), [q], _X_BASIS, u)
+            else:
+                label, chosen = (plus, row) if u < probabilities[row] else (minus, row + 1)
+                norm = math.sqrt(probabilities[chosen])
+                if norm < 1e-12:
+                    raise RuntimeError("collapsed onto a zero branch; numerical state is corrupt")
+                scale = complex(1.0 / norm)  # a complex product, as numpy scales a complex array
+                group.qubits = [partner]
+                group.amps = np.array([branches[2 * chosen] * scale, branches[2 * chosen + 1] * scale])
+                row += 2
+            del index[q]
+            if label is minus:
+                self.apply_gate(correction, [partner])
+            outcomes.append(label)
+        return outcomes
+
     def measure_bell(self, q1: QubitHandle, q2: QubitHandle) -> BellOutcome:
         """Joint Bell-basis measurement of a qubit pair.
 
@@ -554,6 +659,21 @@ class World:
             raise ValueError(f"unknown or retired qubit handle {q!r}") from None
         group.pending.append((q, self.rng.random()))
 
+    def discard_register(self, handles) -> None:
+        """`discard` each of `handles` in order, with their uniforms drawn in
+        one call: the same values, and the same PRNG state after, as one
+        `discard` per handle.  An unknown, retired or repeated handle is
+        refused before anything is drawn or retired."""
+        handles = list(handles)
+        index = self._index
+        for q in handles:
+            if q not in index:
+                raise ValueError(f"unknown or retired qubit handle {q!r}")
+        if len(set(handles)) != len(handles):
+            raise ValueError("cannot discard a qubit handle twice")
+        for q, u in zip(handles, self.rng.random(len(handles)).tolist()):
+            index.pop(q).pending.append((q, u))
+
     def measure_swap(self, register_a, register_b) -> bool:
         """Swap-test measurement of two equal-length registers, each a
         sequence of handles.
@@ -565,10 +685,10 @@ class World:
         *blocks*, the groups the registers touch joined wherever a pair
         links two of them, so the verdict is drawn from each block's own
         small product, never from the joint state.  One walk over the
-        pairs finds the blocks of every test, one pair wide, as in every
-        amount test of a deposit, or several.  A block of two single
-        qubits a and b needs no product: its norm is <a|a><b|b> and its
-        overlap |<a|b>|^2.
+        pairs finds the blocks of a test of several pairs; a test of one
+        pair, as every amount test of a deposit is, is one block with no
+        walk.  A block of two single qubits a and b needs no product: its
+        norm is <a|a><b|b> and its overlap |<a|b>|^2.
 
         Both registers stay live, in one group at the place and in the
         qubit order a merge would give it.  That group holds the
@@ -615,8 +735,9 @@ class World:
         first-use order, their pairs, and their blocks in the order of
         their first pairs: the components that the pairs join, each as its
         groups and its pairs.  A block that holds every group is `groups`
-        itself, with every pair.  One walk over the pairs finds all three.
-        The registers must be non-empty and name no handle twice."""
+        itself, with every pair, as one pair's block always is.  One walk
+        over the pairs finds all three.  The registers must be non-empty
+        and name no handle twice."""
         if not register_a:
             raise ValueError("registers must not be empty")
         # Pair by pair, so the one group orders the qubits as the Fredkin
@@ -624,6 +745,10 @@ class World:
         pairs = list(zip(register_a, register_b))
         if len({*register_a, *register_b}) != 2 * len(pairs):
             raise ValueError("registers overlap or repeat a handle")
+        if len(pairs) == 1:  # one pair is one block: no walk
+            group_a, group_b = self.group_of(pairs[0][0]), self.group_of(pairs[0][1])
+            groups = [group_a] if group_a is group_b else [group_a, group_b]
+            return groups, pairs, [(groups, pairs)]
         # Keyed by group in first-use order.  A pair joins the block of its
         # b group onto the block of its a group; a block keeps its pairs in
         # pair order.

@@ -18,10 +18,14 @@ Recovery measures the bank qubit in the X basis and applies Z to the
 cheque qubit on a minus outcome.  That restores the payload exactly for
 every one of the eight outcome combinations; the encode table below and
 this recovery rule are cross-checked against the branch algebra in the
-test suite.
+test suite.  `recover_register` recovers a whole vault in one simulator
+call, `World.measure_hadamard_register`: pair by pair, in vault order, it
+measures a vault qubit, applies the Z and retires the vault qubit,
+drawing two uniforms per pair (the measurement's, then the retirement's)
+in one draw up front.
 
-Each step returns its one classical output: `encode_qubit` the Bell
-outcome, `recover_qubit` the X outcome.
+Each step returns its classical output: `encode_qubit` the Bell outcome,
+`recover_register` the X outcome of every pair.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ __all__ = [
     "ENCODE_CORRECTIONS",
     "prepare_ghz",
     "encode_qubit",
-    "recover_qubit",
+    "recover_register",
 ]
 
 GHZ_AMPLITUDES = np.zeros(8, dtype=complex)
@@ -104,16 +108,26 @@ def encode_qubit(world: World, payload: QubitHandle, triple: GhzTriple) -> BellO
     return outcome
 
 
-def recover_qubit(world: World, bank_qubit: QubitHandle, cheque_qubit: QubitHandle) -> HadamardOutcome:
-    """Collapse the bank side and restore the payload onto the cheque qubit.
+def recover_register(world: World, vault, cheque_qubits) -> list[HadamardOutcome]:
+    """Collapse each vault qubit and restore its payload onto the cheque
+    qubit at the same place.
 
-    The bank qubit is measured in the X basis and left behind as a
-    factored-out |+> or |->; the caller decides when to discard it.  On a
-    minus outcome the cheque qubit picks up a Z correction.  Afterwards
-    the cheque qubit holds the original payload up to global phase.
-    Returns the X outcome, the one classical bit recovery yields.
+    Each vault qubit is measured in the X basis and retired; on a minus
+    outcome its cheque qubit picks up a Z correction before the next
+    vault qubit is measured.  Afterwards each cheque qubit holds its
+    original payload up to global phase.  Returns the X outcomes in vault
+    order, the classical bits recovery yields.
+
+    Unknown, retired or repeated handles and registers of unequal length
+    raise ``ValueError`` before anything is drawn.  A zero branch (a
+    corrupt state) at pair i raises ``RuntimeError`` after every uniform
+    is drawn, with the pairs before i recovered and retired and pair i
+    and those after it live and untouched.
     """
-    outcome = world.measure_hadamard(bank_qubit)
-    if outcome is HadamardOutcome.MINUS:
-        world.apply_gate(PAULI_Z, [cheque_qubit])
-    return outcome
+    return world.measure_hadamard_register(vault, cheque_qubits, PAULI_Z)
+
+
+def recover_qubit(world: World, bank_qubit: QubitHandle, cheque_qubit: QubitHandle) -> HadamardOutcome:
+    """`recover_register` of one pair; the bank qubit is retired.  No
+    package path calls it: it is the name perfbench's tracer looks up."""
+    return recover_register(world, [bank_qubit], [cheque_qubit])[0]

@@ -22,7 +22,7 @@ from qcheque.protocol import Bank, SchemeParams, encode_amount, sign_cheque
 from qcheque.sim import BellOutcome, Owner, World, haar_random_qubit
 from qcheque.stats import binomial_sigma, within_sigma
 from qcheque.swaptest import swap_test
-from qcheque.teleport import encode_qubit, prepare_ghz, recover_qubit
+from qcheque.teleport import encode_qubit, prepare_ghz, recover_register
 
 FAST = SchemeParams(ghz_triples=2, auth_qubits=2, key_bits=64, serial_bits=64)
 
@@ -56,11 +56,10 @@ def test_criterion_02_encode_recover_identity():
         triple = prepare_ghz(world, i)
         payload = world.allocate(Owner.ALICE, amps)
         encode_qubit(world, payload, triple)
-        recover_qubit(world, triple.bank_qubit, triple.cheque_qubit)
+        recover_register(world, [triple.bank_qubit], [triple.cheque_qubit])
         got = state_of(world, [triple.cheque_qubit])
         worst = min(worst, abs(np.vdot(amps, got)) ** 2)
         world.discard(triple.cheque_qubit)
-        world.discard(triple.bank_qubit)
     criterion(2, "encode-recover identity", worst >= 1.0 - 1e-10,
               f"worst fidelity={worst:.15f}")
 

@@ -14,7 +14,7 @@ from reference import BELL_BASIS, X_BASIS, Z_BASIS, FlatWorld
 from qcheque import adversary
 from qcheque.adversary import STRATEGIES, run_attack, run_honest
 from qcheque.protocol import SchemeParams
-from qcheque.sim import Owner, QubitHandle, World
+from qcheque.sim import HadamardOutcome, Owner, QubitHandle, World
 
 
 class FlatHarnessWorld:
@@ -58,6 +58,16 @@ class FlatHarnessWorld:
     def measure_hadamard(self, q):
         return self.flat.measure(self._qids([q]), X_BASIS, retire=False)
 
+    def measure_hadamard_register(self, register, partners, correction):
+        # one pair at a time: measure, correct, then discard the measured qubit
+        outcomes = []
+        for q, partner in zip(register, partners):
+            outcomes.append(self.measure_hadamard(q))
+            if outcomes[-1] is HadamardOutcome.MINUS:
+                self.apply_gate(correction, [partner])
+            self.discard(q)
+        return outcomes
+
     def measure_bell(self, q1, q2):
         outcome = self.flat.measure(self._qids([q1, q2]), BELL_BASIS, retire=True)
         self.live -= {q1, q2}
@@ -66,6 +76,10 @@ class FlatHarnessWorld:
     def discard(self, q):
         self.flat.measure(self._qids([q]), Z_BASIS, retire=True)
         self.live.remove(q)
+
+    def discard_register(self, handles):
+        for q in handles:
+            self.discard(q)
 
     def measure_swap(self, register_a, register_b):
         return self.flat.swap_test(self._qids(register_a), self._qids(register_b))

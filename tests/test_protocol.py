@@ -18,6 +18,7 @@ from qcheque.protocol import (
     sign_cheque,
 )
 from qcheque import sim
+from qcheque.adversary import clone_qubit
 from qcheque.qowf import prepare_auth_state
 from qcheque.sim import Owner, QubitHandle, World
 
@@ -142,24 +143,28 @@ def test_default_deposit_fits_sixteen_qubit_groups(monkeypatch):
 
 def test_honest_deposit_work_is_pinned(monkeypatch):
     # the work of an honest l=8, n=8 deposit as exact counts, so a change
-    # in work shows without timing.  Every register a deposit discards is
-    # dropped, not collapsed: the only collapses are the recovery X
-    # measurements, one per 2-qubit triple remnant.  The swap targets,
-    # one fresh qubit each, come as two registers of one allocation each
-    # (8 amount, then 8 authentication), so no group is allocated alone.
-    # The deposit places 17 groups: 8 re-adopted vault qubits and 9
-    # swap-test groups.  Each swap test is decided in closed form from
-    # blocks of one cheque and one target qubit, and its group, dropped
-    # unused, is never built: no merge, no settle and no tensor product
+    # in work shows without timing.  Recovery is one register call that
+    # decides each 2-qubit triple remnant in closed form and retires its
+    # vault qubit, so nothing is collapsed and no vault qubit is re-adopted
+    # as a group of its own.  Every register a deposit discards is
+    # dropped, not collapsed.  The swap targets, one fresh qubit each,
+    # come as two registers of one allocation each (8 amount, then 8
+    # authentication), so no group is allocated alone.  The deposit places
+    # 9 groups, its swap-test groups.  Each swap test is decided in closed
+    # form from blocks of one cheque and one target qubit, and its group,
+    # dropped unused, is never built: no merge, no settle and no tensor
+    # product.  The amount targets are discarded one by one, between their
+    # swap tests; the authentication targets and the exit's list in one
+    # call each
     world, bank, _, _, cheque = issue(seed=22, params=SchemeParams())
     widths = collapse_widths(world)
     products = product_widths(monkeypatch)
-    calls = call_counts(world, "allocate_group", "allocate_register", "_place", "measure_swap",
-                        "discard", "_merge", "_settle")
+    calls = call_counts(world, "allocate_group", "allocate_register", "measure_hadamard_register", "_place",
+                        "measure_swap", "discard", "discard_register", "_merge", "_settle")
     assert bank.verify_cheque(world, cheque).accepted
-    assert widths == [2] * 8
-    assert calls == {"allocate_group": 0, "allocate_register": 2, "_place": 17, "measure_swap": 9,
-                     "discard": 40, "_merge": 0, "_settle": 0}
+    assert widths == []
+    assert calls == {"allocate_group": 0, "allocate_register": 2, "measure_hadamard_register": 1, "_place": 9,
+                     "measure_swap": 9, "discard": 8, "discard_register": 2, "_merge": 0, "_settle": 0}
     assert products == []
     assert world.qubit_count == 0 and not world._groups
 
@@ -399,6 +404,40 @@ def test_raise_in_the_quantum_phase_still_retires_the_serial():
     with pytest.raises(ValueError, match="ceiling"):
         bank.verify_cheque(world, cheque)
     assert record.destroyed and not record.spent
+    assert world.qubit_count == 0
+    world.check_partition()
+    assert bank.verify_cheque(world, cheque).reason is RejectReason.DOUBLE_SPEND
+
+
+@pytest.mark.parametrize("shape", ["pair group", "cloned"])
+def test_zero_branch_in_recovery_still_retires_the_serial(shape):
+    # The second of three triple remnants is corrupt (all amplitudes 0),
+    # as a bare pair group or, cloned, as a 4-qubit group.  Recovery draws
+    # every uniform, recovers the first pair and raises at the second,
+    # before any outcome is logged; the exit then destroys the cheque (with
+    # the clone's copy in place of the second qubit), the rest of the vault
+    # and the serial
+    params = SchemeParams(ghz_triples=3, auth_qubits=2, key_bits=64, serial_bits=64)
+    world = World(seed=9)
+    bank = Bank()
+    book, record = bank.gen_account(world, "alice", params)
+    cheque = sign_cheque(world, book, encode_amount(42))
+    if shape == "cloned":
+        copies = list(cheque.amount_qubits)
+        copies[1] = clone_qubit(world, copies[1]).copy
+        cheque = replace(cheque, amount_qubits=tuple(copies))
+    world._index[record.bank_qubits[1]].amps[:] = 0.0
+    with pytest.raises(RuntimeError, match="zero branch"):
+        bank.verify_cheque(world, cheque)
+    assert record.destroyed and not record.spent
+    session = max(m.session for m in bank.transcript)
+    assert messages_in_session(bank, session, "recovery-outcome") == []
+    # a clone leaves the cloned qubit and the machine, which the cheque
+    # never named, in the corrupt group; once they go, nothing is left
+    if shape == "cloned":
+        left = list(world._index)
+        assert len(left) == 2 and {q.owner for q in left} == {Owner.ALICE, Owner.ADVERSARY}
+        world.discard_register(left)
     assert world.qubit_count == 0
     world.check_partition()
     assert bank.verify_cheque(world, cheque).reason is RejectReason.DOUBLE_SPEND

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from helpers import (
 )
 
 from qcheque import sim
-from qcheque.adversary import _COPY
+from qcheque.adversary import _BLANK, _COPY
 from qcheque.sim import (
     _BELL_BASIS,
     _X_BASIS,
@@ -1470,6 +1471,264 @@ def test_reduced_density_matches_the_bare_product_bit_for_bit():
                     assert got.tobytes() == np.dot(rows, rows.conj().T).tobytes()
 
 
+# ----------------------------------------------------------------------
+# register kernels, each against the per-qubit calls it replaces
+# ----------------------------------------------------------------------
+
+
+def _per_pair_recovery(world, register, partners, correction):
+    """What `measure_hadamard_register` replaces: per pair, in order, an X
+    measurement, the correction on a minus outcome, then a discard."""
+    outcomes = []
+    for q, partner in zip(register, partners):
+        outcomes.append(world.measure_hadamard(q))
+        if outcomes[-1] is HadamardOutcome.MINUS:
+            world.apply_gate(correction, [partner])
+        world.discard(q)
+    return outcomes
+
+
+def _unsettled(world) -> list:
+    """Every live group as it stands, nothing settled: qubits, amplitude
+    bytes, pending discards and pending swap-test projection."""
+    out = []
+    for g in world._groups:
+        projection = None
+        if g.projection is not None:
+            factors, pairs, passed = g.projection
+            projection = ([f.tobytes() for f in factors], pairs, passed)
+        amps = None if g.amps is None else g.amps.tobytes()
+        out.append((list(g.qubits), amps, list(g.pending), projection))
+    return out
+
+
+def _assert_same_world(world, twin):
+    """Equal bit for bit: unsettled groups, PRNG state, and the settled
+    snapshot as text, where a zero's sign shows."""
+    assert _unsettled(world) == _unsettled(twin)
+    assert world.rng.bit_generator.state == twin.rng.bit_generator.state
+    assert json.dumps(world.to_json()) == json.dumps(twin.to_json())
+
+
+# Each kind of (vault, cheque) pair that a recovery may meet: a kind
+# builds one pair, in a random qubit order where it holds a pair group.
+def _pair_group(world, rng, amps):
+    """(vault, cheque) of a fresh 2-qubit group over `amps`, whose first
+    index bit is the vault qubit's; the vault qubit leads the group or
+    follows the cheque qubit at random."""
+    if rng.random() < 0.5:
+        return tuple(world.allocate_group([Owner.BANK, Owner.ALICE], amps))
+    cheque, vault = world.allocate_group([Owner.ALICE, Owner.BANK], amps.reshape(2, 2).T.reshape(-1))
+    return vault, cheque
+
+
+def _pair_entangled(world, rng):
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return _pair_group(world, rng, amps / np.linalg.norm(amps))
+
+
+def _pair_forced(world, rng, vault_state):
+    # a product of the vault qubit in |+> or |-> and a random cheque qubit:
+    # the outcome is certain whatever the uniform
+    return _pair_group(world, rng, np.kron(vault_state, haar_random_qubit(rng)))
+
+
+def _pair_cloned(world, rng):
+    # the cheque qubit cloned: the pair's group is 4 qubits, the partner the copy
+    vault, cheque = _pair_entangled(world, rng)
+    copy_qubit, machine = world.allocate_group([Owner.ADVERSARY] * 2, _BLANK)
+    world.apply_gate(_COPY, [cheque, copy_qubit, machine])
+    return vault, copy_qubit
+
+
+def _pair_pending(world, rng):
+    # the pair shares its group with a discarded qubit, still pending
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    qs = world.allocate_group([Owner.BANK, Owner.ALICE, Owner.ADVERSARY], amps / np.linalg.norm(amps))
+    world.discard(qs[2])
+    return qs[0], qs[1]
+
+
+def _pair_swap_tested(world, rng):
+    # the cheque qubit was swap-tested: its group holds a projection
+    vault, cheque = _pair_entangled(world, rng)
+    world.measure_swap([cheque], [world.allocate(Owner.BANK, haar_random_qubit(rng))])
+    return vault, cheque
+
+
+_PAIR_KINDS = {
+    "entangled": _pair_entangled,
+    "plus": lambda world, rng: _pair_forced(world, rng, HADAMARD[0]),
+    "minus": lambda world, rng: _pair_forced(world, rng, HADAMARD[1]),
+    "cloned": _pair_cloned,
+    "pending": _pair_pending,
+    "swap-tested": _pair_swap_tested,
+}
+
+
+def _recovery_case(seed, kinds):
+    """A world with one pair of each named kind, a bystander group, and
+    the register and partners to recover, in pair order."""
+    world, rng = World(seed=seed), np.random.default_rng(seed)
+    _random_group(world, rng, 2)
+    vault, cheque = zip(*(_PAIR_KINDS[kind](world, rng) for kind in kinds))
+    return world, list(vault), list(cheque)
+
+
+@pytest.mark.parametrize("l", [1, 2, 8])
+@pytest.mark.parametrize("kinds", ["entangled", "forced", "mixed"])
+def test_register_recovery_matches_the_per_pair_calls(l, kinds):
+    # the same outcomes, amplitudes, pending work and PRNG state as one
+    # X measurement, correction and discard per pair; "forced" pairs
+    # take both certain outcomes, "mixed" ones every kind of group
+    names = {"entangled": ["entangled"], "forced": ["plus", "minus"], "mixed": sorted(_PAIR_KINDS)}[kinds]
+    outcomes, closed_form = set(), 0
+    for seed in range(40):
+        pick = np.random.default_rng(seed + 1000)
+        world, vault, cheque = _recovery_case(seed, [names[i] for i in pick.integers(len(names), size=l)])
+        twin = copy.deepcopy(world)
+        widths = collapse_widths(world)
+        got = world.measure_hadamard_register(vault, cheque, PAULI_Z)
+        assert got == _per_pair_recovery(twin, vault, cheque, PAULI_Z)
+        assert not any(q in world for q in vault)
+        closed_form += l - len(widths)
+        outcomes.update(got)
+        _assert_same_world(world, twin)
+        world.check_partition()
+    assert outcomes == set(HadamardOutcome)
+    if kinds != "mixed":
+        assert closed_form == 40 * l  # every pair group decided in one pass
+
+
+def test_register_recovery_with_a_general_correction():
+    # a correction that is not its own transpose, on pairs in either order
+    gate = haar_random_unitary(np.random.default_rng(3))
+    for seed in range(20):
+        world, vault, cheque = _recovery_case(seed, ["entangled"] * 4 + ["cloned"])
+        twin = copy.deepcopy(world)
+        got = world.measure_hadamard_register(vault, cheque, gate)
+        assert got == _per_pair_recovery(twin, vault, cheque, gate)
+        _assert_same_world(world, twin)
+
+
+@pytest.mark.parametrize("kind", ["entangled", "cloned"])
+def test_register_recovery_zero_branch(kind):
+    # a corrupt group at place 1 raises there, once every uniform is
+    # drawn: place 0 is recovered as the per-pair calls recover it, and
+    # places 1 and 2 are live and unchanged
+    for seed in range(10):
+        world, vault, cheque = _recovery_case(seed, ["entangled", kind, "entangled"])
+        world._index[vault[1]].amps[:] = 0.0
+        twin = copy.deepcopy(world)
+        drawn = copy.deepcopy(world.rng)
+        drawn.random(6)
+        with pytest.raises(RuntimeError, match="zero branch") as got:
+            world.measure_hadamard_register(vault, cheque, PAULI_Z)
+        with pytest.raises(RuntimeError) as want:
+            _per_pair_recovery(twin, vault, cheque, PAULI_Z)
+        assert str(got.value) == str(want.value)
+        assert vault[0] not in world and all(q in world for q in vault[1:] + cheque)
+        assert world.rng.bit_generator.state == drawn.bit_generator.state
+        twin.rng = world.rng
+        assert _unsettled(world) == _unsettled(twin)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda v, c, g: (v[:1], c, g), "differ in length"),
+    (lambda v, c, g: ([v[0], v[0]], c, g), "overlap or repeat"),
+    (lambda v, c, g: (v, [v[1], c[1]], g), "overlap or repeat"),
+    (lambda v, c, g: ([QubitHandle(99, Owner.BANK), v[1]], c, g), "unknown or retired"),
+    (lambda v, c, g: (v, c, np.kron(g, g)), "one-qubit gate"),
+    (lambda v, c, g: (v, c, 2 * g), "not unitary"),
+])
+def test_refused_register_recovery_draws_nothing(change, message):
+    world, vault, cheque = _recovery_case(4, ["entangled", "cloned"])
+    twin = copy.deepcopy(world)
+    with pytest.raises(ValueError, match=message):
+        world.measure_hadamard_register(*change(vault, cheque, PAULI_Z))
+    _assert_same_world(world, twin)
+
+
+def test_register_discard_matches_one_by_one():
+    # random live handles of random groups, some with work pending, in
+    # random order: the same pending queues and PRNG state as one discard each
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        world, vault, cheque = _recovery_case(seed, ["entangled", "pending", "swap-tested", "cloned"])
+        live = [q for g in world._groups for q in g.qubits if q in world]
+        chosen = [live[i] for i in rng.permutation(len(live))[:int(rng.integers(0, len(live) + 1))]]
+        twin = copy.deepcopy(world)
+        world.discard_register(chosen)
+        for q in chosen:
+            twin.discard(q)
+        _assert_same_world(world, twin)
+
+
+@pytest.mark.parametrize("pick, message", [
+    (lambda live, retired: [live[0], retired], "unknown or retired"),
+    (lambda live, retired: [live[0], live[1], live[0]], "twice"),
+])
+def test_refused_register_discard_draws_nothing(pick, message):
+    world, _, _ = _recovery_case(6, ["entangled", "pending"])
+    retired = world.allocate(Owner.BANK)
+    world.discard(retired)
+    live = [q for g in world._groups for q in g.qubits if q in world]
+    twin = copy.deepcopy(world)
+    with pytest.raises(ValueError, match=message):
+        world.discard_register(pick(live, retired))
+    _assert_same_world(world, twin)
+
+
+_ULP = np.nextafter(1.0, 2.0) - 1.0
+_SPECIAL_ROWS = {
+    "exact": [(1, 0), (0.6, 0.8j), (0, -1), (-0.0, 1j)],
+    "an ulp off": [(1 + _ULP, 0), (0.6, 0.8 + _ULP), (0, 1 - _ULP / 2), (0.6j, 0.8 - _ULP)],
+    "1 + 1e-9": [(1 + 1e-9, 0)],
+    "1 - 1e-9": [(1 - 1e-9, 0)],
+    "just under 1 + 1e-9": [(np.nextafter(1 + 1e-9, 0), 0)],
+    "just over 1 - 1e-9": [(np.nextafter(1 - 1e-9, 2), 0)],
+    "off by 1e-7": [(1, 0), (1 + 1e-7, 0)],
+    "nan": [(1, 0), (np.nan, 0)],
+    "nan imaginary": [(1, 0), (0, complex(0, np.nan))],
+    "inf": [(1, 0), (np.inf, 0)],
+    "-inf imaginary": [(1, 0), (0, complex(0, -np.inf))],
+    "zero": [(0, 0)],
+    "three wide": [(1, 0, 0), (0.6, 0.8, 0)],
+    "one wide": [(1,), (1,)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPECIAL_ROWS))
+def test_register_norm_check_matches_the_per_row_check(name):
+    # the same refusal text as `_check_state_vector` on the first row it
+    # refuses, or the same amplitudes, bit for bit, as one `allocate` a row
+    rows = _SPECIAL_ROWS[name]
+    world, per_row = World(seed=0), World(seed=0)
+    with warnings.catch_warnings():
+        # an infinite amplitude makes the stacked product warn before the refusal
+        warnings.simplefilter("ignore", RuntimeWarning)
+        handles, error = _refusal(lambda: world.allocate_register(Owner.BANK, rows))
+    want_error = _refusal(lambda: [_check_state_vector(np.array(r, dtype=complex), 2) for r in rows])[1]
+    assert error == want_error
+    if error is None:
+        twins = [per_row.allocate(Owner.BANK, r) for r in rows]
+        assert _amps_bytes(world, handles) == _amps_bytes(per_row, twins)
+    else:
+        assert world.qubit_count == 0
+
+
+def test_register_norms_match_the_per_row_norms_bit_for_bit():
+    # 20000 rows off unit norm by up to 0.9 of the tolerance: each is divided by
+    # the norm `_check_state_vector` takes, or left as it is when that is 1
+    rng = np.random.default_rng(41)
+    rows = np.array([haar_random_qubit(rng) for _ in range(20000)])
+    rows *= 1.0 + rng.uniform(-9e-10, 9e-10, size=(len(rows), 1)) * rng.integers(0, 2, size=(len(rows), 1))
+    world = World(seed=0)
+    got = world.allocate_register(Owner.BANK, rows)
+    want = [row / norm if (norm := _check_state_vector(row.copy(), 2)) != 1.0 else row for row in rows]
+    assert b"".join(_amps_bytes(world, got)) == np.array(want).tobytes()
+
+
 _PROBE_CHUNKS = [bytes([i]) * 32 for i in range(256)]
 
 
@@ -1481,22 +1740,34 @@ def _probe() -> float:
     return time.perf_counter() - start
 
 
-# the sim calls that run a complex gemm, as named by `_vector_unit_cases`
-_GEMM_CALLS = ("apply_gate lead", "apply_gate other", "reduced_density")
+# the sim calls that run a complex gemm or a stacked product, as named by
+# `_vector_unit_cases`
+_GEMM_CALLS = ("apply_gate lead", "apply_gate other", "reduced_density", "allocate_register",
+               "measure_hadamard_register plus", "measure_hadamard_register minus")
 
 
 def _vector_unit_cases():
     """(name, operation) for a reference that leaves the vector unit clean,
-    a bare complex gemm, and each of `_GEMM_CALLS`."""
+    a bare complex gemm, and each of `_GEMM_CALLS`.  The register
+    recoveries end on a plus outcome, after the stacked product, or on a
+    minus one, after the correction's gemm."""
     world = World(seed=28)
     lead, other = world.allocate_group([Owner.ALICE] * 2, [1 / SQRT2, 0, 0, 1 / SQRT2])
     clear = np.zeros(4, dtype=complex)
+
+    def recovery(vault_state):
+        vault, cheque = world.allocate_group([Owner.BANK, Owner.ALICE], np.kron(vault_state, [0.6, 0.8]))
+        world.measure_hadamard_register([vault], [cheque], PAULI_Z)
+
     return [
         ("clean", lambda: np.multiply(clear, clear)),
         ("bare", lambda: PAULI_X @ PAULI_Z),
         ("apply_gate lead", lambda: world.apply_gate(PAULI_X, [lead])),
         ("apply_gate other", lambda: world.apply_gate(PAULI_X, [other])),
         ("reduced_density", lambda: world.reduced_density([other, lead])),
+        ("allocate_register", lambda: world.allocate_register(Owner.BANK, [(0.6, 0.8j)] * 8)),
+        ("measure_hadamard_register plus", lambda: recovery(HADAMARD[0])),
+        ("measure_hadamard_register minus", lambda: recovery(HADAMARD[1])),
     ]
 
 

@@ -15,7 +15,7 @@ from qcheque.teleport import (
     GHZ_AMPLITUDES,
     encode_qubit,
     prepare_ghz,
-    recover_qubit,
+    recover_register,
 )
 
 ALPHA, BETA = 0.6, 0.8
@@ -119,7 +119,7 @@ def test_recovery_restores_payload_for_all_eight_combinations():
     seed = 100
     while len(seen) < 8 and seed < 600:
         world, triple, encoded = encode_fixed_payload(seed)
-        recovered = recover_qubit(world, triple.bank_qubit, triple.cheque_qubit)
+        recovered, = recover_register(world, [triple.bank_qubit], [triple.cheque_qubit])
         seen.add((encoded, recovered))
         fidelity = overlap_mod(state_of(world, [triple.cheque_qubit]), [ALPHA, BETA])
         assert fidelity == pytest.approx(1.0, abs=1e-10), (encoded, recovered)
@@ -134,20 +134,36 @@ def test_recovery_fidelity_for_haar_payloads():
         triple = prepare_ghz(world, i)
         payload = world.allocate(Owner.ALICE, amps)
         encode_qubit(world, payload, triple)
-        recover_qubit(world, triple.bank_qubit, triple.cheque_qubit)
+        recover_register(world, [triple.bank_qubit], [triple.cheque_qubit])
         assert overlap_mod(state_of(world, [triple.cheque_qubit]), amps) >= 1.0 - 1e-10
         world.discard(triple.cheque_qubit)
-        world.discard(triple.bank_qubit)
 
 
-def test_recovery_leaves_bank_qubit_factored_out():
+def test_register_recovery_restores_every_payload():
+    # one call for a whole vault: each cheque qubit holds its own payload,
+    # on every outcome pattern
+    patterns = set()
+    for seed in range(40):
+        world = World(seed=seed)
+        payloads = [haar_random_qubit(world.rng) for _ in range(3)]
+        triples = [prepare_ghz(world, i) for i in range(3)]
+        for amps, triple in zip(payloads, triples):
+            encode_qubit(world, world.allocate(Owner.ALICE, amps), triple)
+        outcomes = recover_register(world, [t.bank_qubit for t in triples], [t.cheque_qubit for t in triples])
+        patterns.add(tuple(outcomes))
+        for amps, triple in zip(payloads, triples):
+            assert overlap_mod(state_of(world, [triple.cheque_qubit]), amps) >= 1.0 - 1e-10
+    assert len(patterns) == 8
+
+
+def test_recovery_retires_the_vault_qubit():
     world, triple, _ = encode_fixed_payload(8)
-    outcome = recover_qubit(world, triple.bank_qubit, triple.cheque_qubit)
-    assert world.group_of(triple.bank_qubit).n_qubits == 1
-    plus = np.array([1, 1]) / np.sqrt(2)
-    minus = np.array([1, -1]) / np.sqrt(2)
-    want = plus if outcome is HadamardOutcome.PLUS else minus
-    assert overlap_mod(state_of(world, [triple.bank_qubit]), want) == pytest.approx(1.0)
+    outcome, = recover_register(world, [triple.bank_qubit], [triple.cheque_qubit])
+    assert isinstance(outcome, HadamardOutcome)
+    assert triple.bank_qubit not in world
+    assert world.group_of(triple.cheque_qubit).qubits == [triple.cheque_qubit]
+    with pytest.raises(ValueError, match="unknown or retired"):
+        recover_register(world, [triple.bank_qubit], [triple.cheque_qubit])
 
 
 def test_correction_table_structure():
